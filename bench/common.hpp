@@ -105,8 +105,10 @@ inline PreparedBenchmark prepare_benchmark(const std::string& name, const Scale&
   // End-of-episode reward: the fast mode the paper uses at scale (§3.2) —
   // ~10-50× fewer SAT calls per episode buys far more exploration per second.
   cfg.env.reward_mode = core::RewardMode::EndOfEpisode;
-  // Vectorized environments, as the paper does for MIPS (§4.1).
-  cfg.ppo.n_workers = 8;
+  // Vectorized environments, as the paper does for MIPS (§4.1), with each
+  // step's lane SAT work (end-of-episode verifications) spread over 8 threads.
+  cfg.ppo.rollout_lanes = 8;
+  cfg.env.sat_dispatch_threads = 8;
   cfg.seed = seed;
   prep.det = std::make_unique<core::Deterrent>(prep.bench.scan.comb, cfg);
   prep.det->prepare();

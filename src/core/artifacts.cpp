@@ -355,7 +355,6 @@ void write_config(util::BinaryWriter& w, const DeterrentConfig& config) {
   w.u64(config.ppo.episodes_per_update);
   w.u64(config.ppo.hidden_size);
   w.u64(config.ppo.hidden_layers);
-  w.u64(config.ppo.n_workers);
   w.u64(config.ppo.rollout_lanes);
   w.boolean(config.ppo.normalize_advantages);
   w.u64(config.updates);
@@ -407,7 +406,6 @@ DeterrentConfig read_config(util::BinaryReader& r) {
   config.ppo.episodes_per_update = r.u64();
   config.ppo.hidden_size = r.u64();
   config.ppo.hidden_layers = r.u64();
-  config.ppo.n_workers = r.u64();
   config.ppo.rollout_lanes = r.u64();
   config.ppo.normalize_advantages = r.boolean();
   config.updates = r.u64();

@@ -79,8 +79,9 @@ enum class ArtifactKind : std::uint32_t {
 /// (vectorized trainer with collector-independent episode RNG streams).
 /// v5: the config block gained compat.shard_count and
 /// env.sat_dispatch_threads; the compat-shard partial and manifest artifacts
-/// were added (sharded compatibility build).
-inline constexpr std::uint32_t kArtifactFormatVersion = 5;
+/// were added (sharded compatibility build). v6: the config block dropped
+/// the PPO rollout-worker count (the vectorized collector is the only one).
+inline constexpr std::uint32_t kArtifactFormatVersion = 6;
 
 /// Verdict of the lint front door (stage 0): the full diagnostic report plus
 /// the reject decision it produced under the run's fail_on severity. Saved as

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sat/encoder.hpp"
 #include "util/assert.hpp"
 
 namespace deterrent::core {
@@ -259,13 +258,12 @@ rl::StepResult CompatibleSetEnv::step(std::uint32_t action) {
 CompatibleSetVectorEnv::CompatibleSetVectorEnv(
     const netlist::Netlist& netlist, std::span<const analysis::RareNet> rare_nets,
     const analysis::CompatibilityMatrix& matrix, const EnvConfig& config,
-    DistinctSetPool* pool, std::size_t lanes, SatBackend backend)
+    DistinctSetPool* pool, std::size_t lanes)
     : netlist_(&netlist),
       rare_nets_(rare_nets.begin(), rare_nets.end()),
       matrix_(&matrix),
       config_(config),
-      pool_(pool),
-      backend_(backend) {
+      pool_(pool) {
   DETERRENT_ASSERT(lanes >= 1, "CompatibleSetVectorEnv needs at least one lane");
   DETERRENT_ASSERT(matrix.size() == rare_nets_.size(),
                    "compatibility matrix / rare net size mismatch");
@@ -355,83 +353,63 @@ bool CompatibleSetVectorEnv::pairwise_ok(const Lane& lane,
   return true;
 }
 
-void CompatibleSetVectorEnv::build_constraints(const Lane& lane,
-                                               std::uint32_t extra_action) {
-  scratch_constraints_.clear();
-  scratch_constraints_.reserve(lane.members.size() + 1);
+std::vector<sat::Constraint> CompatibleSetVectorEnv::joint_constraints(
+    const Lane& lane, std::uint32_t action) const {
+  std::vector<sat::Constraint> constraints;
+  constraints.reserve(lane.members.size() + 1);
   for (const std::uint32_t m : lane.members)
-    scratch_constraints_.push_back({rare_nets_[m].net, rare_nets_[m].rare_value});
-  if (extra_action != static_cast<std::uint32_t>(-1))
-    scratch_constraints_.push_back(
-        {rare_nets_[extra_action].net, rare_nets_[extra_action].rare_value});
+    constraints.push_back({rare_nets_[m].net, rare_nets_[m].rare_value});
+  constraints.push_back({rare_nets_[action].net, rare_nets_[action].rare_value});
+  return constraints;
 }
 
-util::ThreadPool* CompatibleSetVectorEnv::dispatch_pool() {
-  if (config_.sat_dispatch_threads < 2) return nullptr;
-  if (!dispatch_pool_)
-    dispatch_pool_ = std::make_unique<util::ThreadPool>(config_.sat_dispatch_threads);
-  return dispatch_pool_.get();
-}
-
-sat::Portfolio& CompatibleSetVectorEnv::shared_portfolio() {
-  if (!portfolio_) {
-    sat::PortfolioConfig pc;
-    pc.solvers = std::min<std::size_t>(lanes_.size(), 4);
-    portfolio_ = std::make_unique<sat::Portfolio>(
-        pc, [this](sat::Solver& solver, std::size_t) {
-          sat::encode_netlist(*netlist_, solver);
-          for (const netlist::NetId n : netlist_->inputs()) solver.set_frozen(n);
-          for (const auto& rn : rare_nets_) solver.set_frozen(rn.net);
-        });
+void CompatibleSetVectorEnv::dispatch(std::size_t jobs,
+                                      const std::function<void(std::size_t)>& job) {
+  if (config_.sat_dispatch_threads >= 2 && jobs > 1) {
+    if (!dispatch_pool_)
+      dispatch_pool_ = std::make_unique<util::ThreadPool>(config_.sat_dispatch_threads);
+    dispatch_pool_->parallel_for(jobs, job);
+  } else {
+    for (std::size_t k = 0; k < jobs; ++k) job(k);
   }
-  return *portfolio_;
 }
 
 bool CompatibleSetVectorEnv::solve_joint(std::size_t lane,
                                          std::span<const sat::Constraint> constraints) {
-  if (backend_ == SatBackend::PerLane)
-    return lane_oracle(lane)
-        .try_satisfiable(constraints, config_.sat_conflict_budget)
-        .value_or(false);
-  // Single-query portfolio path: the race mode, so with a dispatch pool every
-  // clone attacks the one lane's query and the first finisher cancels the
-  // rest (lane-level early exit). Pool-less this is exactly clone 0.
-  std::vector<sat::Lit> assumptions;
-  assumptions.reserve(constraints.size());
-  for (const auto& c : constraints)
-    assumptions.push_back(sat::mk_lit(c.net, /*negated=*/!c.value));
-  ++portfolio_queries_;
-  return shared_portfolio().solve_one(assumptions, dispatch_pool(),
-                                      config_.sat_conflict_budget) ==
-         sat::Solver::Result::Sat;
+  return lane_oracle(lane)
+      .try_satisfiable(constraints, config_.sat_conflict_budget)
+      .value_or(false);
 }
 
-std::size_t CompatibleSetVectorEnv::longest_satisfiable_prefix(std::size_t l) {
+std::vector<std::uint32_t> CompatibleSetVectorEnv::verified_members(
+    std::size_t l, std::uint64_t& witness_hits) {
   // Mirrors CompatibleSetEnv::longest_satisfiable_prefix: binary search over
   // the monotone prefix plus greedy repair, with the witness joint computed
-  // as whole-word BitVec ANDs over the shared signature table.
-  Lane& lane = lanes_[l];
+  // as whole-word BitVec ANDs over the shared signature table. Touches only
+  // lane l's members and oracle, so distinct lanes may run concurrently.
+  const Lane& lane = lanes_[l];
   const auto* sigs = config_.witness_signatures;
+  std::vector<sat::Constraint> constraints;
   auto prefix_sat = [&](std::size_t len) {
     if (sigs != nullptr) {
       util::BitVec joint = (*sigs)[lane.members[0]];
       for (std::size_t k = 1; k < len; ++k) joint &= (*sigs)[lane.members[k]];
       if (joint.any()) {
-        ++witness_hits_;
+        ++witness_hits;
         return true;
       }
     }
-    scratch_constraints_.clear();
+    constraints.clear();
     for (std::size_t k = 0; k < len; ++k) {
       const auto& rn = rare_nets_[lane.members[k]];
-      scratch_constraints_.push_back({rn.net, rn.rare_value});
+      constraints.push_back({rn.net, rn.rare_value});
     }
-    return solve_joint(l, scratch_constraints_);
+    return solve_joint(l, constraints);
   };
 
   std::size_t lo = 1;  // singleton start is satisfiable by construction
   std::size_t hi = lane.members.size();
-  if (prefix_sat(hi)) return hi;
+  if (prefix_sat(hi)) return lane.members;
   while (hi - lo > 1) {
     const std::size_t mid = lo + (hi - lo) / 2;
     if (prefix_sat(mid))
@@ -447,7 +425,7 @@ std::size_t CompatibleSetVectorEnv::longest_satisfiable_prefix(std::size_t l) {
     joint = (*sigs)[kept[0]];
     for (std::size_t k = 1; k < kept.size(); ++k) joint &= (*sigs)[kept[k]];
   }
-  std::vector<sat::Constraint> constraints;
+  constraints.clear();
   for (const std::uint32_t m : kept)
     constraints.push_back({rare_nets_[m].net, rare_nets_[m].rare_value});
   std::size_t budget = config_.eoe_repair_budget;
@@ -455,7 +433,7 @@ std::size_t CompatibleSetVectorEnv::longest_satisfiable_prefix(std::size_t l) {
     const auto& rn = rare_nets_[lane.members[k]];  // member lo broke the prefix
     constraints.push_back({rn.net, rn.rare_value});
     if (sigs != nullptr && joint.intersects((*sigs)[lane.members[k]])) {
-      ++witness_hits_;
+      ++witness_hits;
       joint &= (*sigs)[lane.members[k]];
       kept.push_back(lane.members[k]);
       continue;
@@ -467,26 +445,35 @@ std::size_t CompatibleSetVectorEnv::longest_satisfiable_prefix(std::size_t l) {
       constraints.pop_back();
     }
   }
-  lane.members = std::move(kept);
-  return lane.members.size();
+  return kept;
 }
 
-void CompatibleSetVectorEnv::finish_lane(std::size_t l) {
-  Lane& lane = lanes_[l];
-  lane.open = false;
-  lane.done = true;
-  if (config_.reward_mode == RewardMode::EndOfEpisode) {
-    const std::size_t prefix = longest_satisfiable_prefix(l);
-    lane.members.resize(prefix);
-    util::BitVec verified(rare_nets_.size());
-    for (const std::uint32_t m : lane.members) verified.set(m);
-    lane.state = std::move(verified);
-    lane.reward = size_reward(prefix);
-    if (pool_ != nullptr) pool_->add(lane.state);
-    rebuild_observation(lane);
-  } else {
-    if (pool_ != nullptr) pool_->add(lane.state);
+void CompatibleSetVectorEnv::finish_lanes(std::span<const std::size_t> finishing) {
+  for (const std::size_t l : finishing) {
+    lanes_[l].open = false;
+    lanes_[l].done = true;
   }
+  if (config_.reward_mode == RewardMode::EndOfEpisode) {
+    // Each finishing lane verifies its optimistic set on its private oracle —
+    // the same query stream in the same order whether the lanes run here in
+    // sequence or across the dispatch pool, so results are bit-identical.
+    std::vector<std::vector<std::uint32_t>> verified(finishing.size());
+    std::vector<std::uint64_t> hits(finishing.size(), 0);
+    dispatch(finishing.size(), [&](std::size_t k) {
+      verified[k] = verified_members(finishing[k], hits[k]);
+    });
+    for (std::size_t k = 0; k < finishing.size(); ++k) {
+      Lane& lane = lanes_[finishing[k]];
+      witness_hits_ += hits[k];
+      lane.members = std::move(verified[k]);
+      lane.state.clear_all();
+      for (const std::uint32_t m : lane.members) lane.state.set(m);
+      lane.reward = size_reward(lane.members.size());
+      rebuild_observation(lane);
+    }
+  }
+  if (pool_ != nullptr)
+    for (const std::size_t l : finishing) pool_->add(lanes_[l].state);
 }
 
 void CompatibleSetVectorEnv::step(std::span<const std::uint32_t> actions,
@@ -534,54 +521,19 @@ void CompatibleSetVectorEnv::step(std::span<const std::uint32_t> actions,
     }
   }
 
-  // Phase 2 — batched SAT dispatch for the witness misses.
-  if (pending.size() > 1) ++batched_dispatches_;
-  if (backend_ == SatBackend::SharedPortfolio && !pending.empty()) {
-    // One portfolio batch answers the whole step; with a dispatch pool the
-    // clones work-steal down the lane queries instead of round-robining.
-    std::vector<sat::Portfolio::Query> queries;
-    queries.reserve(pending.size());
-    for (const std::size_t l : pending) {
-      build_constraints(lanes_[l], actions[l]);
-      sat::Portfolio::Query q;
-      q.conflict_budget = config_.sat_conflict_budget;
-      for (const auto& c : scratch_constraints_)
-        q.assumptions.push_back(sat::mk_lit(c.net, /*negated=*/!c.value));
-      queries.push_back(std::move(q));
-    }
-    portfolio_queries_ += queries.size();
-    const auto results = shared_portfolio().solve_batch(queries, dispatch_pool());
-    for (std::size_t q = 0; q < pending.size(); ++q)
-      verdicts[pending[q]] = results[q] == sat::Solver::Result::Sat
-                                 ? Verdict::Accept
-                                 : Verdict::Reject;
-  } else if (!pending.empty()) {
-    // PerLane: constraints are staged sequentially (scratch_constraints_ is
-    // shared), then each pending lane solves on its private oracle — the
-    // exact query stream its scalar twin would see, so the verdicts are
-    // bit-identical whether the lanes run sequentially or across the pool.
-    std::vector<std::vector<sat::Constraint>> staged(pending.size());
-    for (std::size_t k = 0; k < pending.size(); ++k) {
-      build_constraints(lanes_[pending[k]], actions[pending[k]]);
-      staged[k] = scratch_constraints_;
-    }
-    const auto solve_pending = [&](std::size_t k) {
-      const std::size_t l = pending[k];
-      verdicts[l] = lane_oracle(l)
-                            .try_satisfiable(staged[k], config_.sat_conflict_budget)
-                            .value_or(false)
-                        ? Verdict::Accept
-                        : Verdict::Reject;
-    };
-    util::ThreadPool* pool = dispatch_pool();
-    if (pool != nullptr && pending.size() > 1) {
-      pool->parallel_for(pending.size(), solve_pending);
-    } else {
-      for (std::size_t k = 0; k < pending.size(); ++k) solve_pending(k);
-    }
-  }
+  // Phase 2 — batched SAT dispatch for the witness misses. Each pending lane
+  // solves on its private oracle — the exact query stream its scalar twin
+  // would see, so the verdicts are bit-identical whether the lanes run
+  // sequentially or across the pool.
+  dispatch(pending.size(), [&](std::size_t k) {
+    const std::size_t l = pending[k];
+    verdicts[l] = solve_joint(l, joint_constraints(lanes_[l], actions[l]))
+                      ? Verdict::Accept
+                      : Verdict::Reject;
+  });
 
-  // Phase 3 — apply transitions, rewards, terminations.
+  // Phase 3 — apply transitions and rewards; collect the terminated lanes.
+  std::vector<std::size_t> finishing;
   for (std::size_t l = active.find_first(); l < lanes_.size();
        l = active.find_next(l + 1)) {
     Lane& lane = lanes_[l];
@@ -606,9 +558,11 @@ void CompatibleSetVectorEnv::step(std::span<const std::uint32_t> actions,
 
     const bool out_of_actions = lane.mask.none();
     const bool out_of_steps = lane.steps >= max_steps_;
-    if (out_of_actions || out_of_steps)
-      finish_lane(l);  // may overwrite reward (EndOfEpisode terminal payout)
+    if (out_of_actions || out_of_steps) finishing.push_back(l);
   }
+
+  // Phase 4 — close terminated lanes (EndOfEpisode: verify + terminal payout).
+  if (!finishing.empty()) finish_lanes(finishing);
 }
 
 std::span<const float> CompatibleSetVectorEnv::observation(std::size_t lane) const {
@@ -633,7 +587,7 @@ std::span<const std::uint32_t> CompatibleSetVectorEnv::members(
 }
 
 std::uint64_t CompatibleSetVectorEnv::sat_queries() const {
-  std::uint64_t total = portfolio_queries_;
+  std::uint64_t total = 0;
   for (const auto& oracle : oracles_)
     if (oracle) total += oracle->query_count();
   return total;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -9,7 +10,7 @@
 #include "core/set_pool.hpp"
 #include "rl/env.hpp"
 #include "sat/oracle.hpp"
-#include "sat/portfolio.hpp"
+#include "util/thread_pool.hpp"
 
 namespace deterrent::core {
 
@@ -75,16 +76,12 @@ struct EnvConfig {
   /// setups (high lane counts) can spend more on the passes than they save —
   /// measure before enabling.
   sat::OracleConfig oracle;
-  /// Worker threads for the vectorized env's lane SAT dispatch; 0/1 =
-  /// sequential (the bit-reproducible reference), >= 2 creates a private
-  /// pool. PerLane solves the step's pending lanes on their private oracles
-  /// concurrently — each oracle still sees exactly its scalar twin's query
-  /// stream, so results stay bit-identical at any thread count. With
-  /// SharedPortfolio the pool reaches sat::Portfolio::solve_batch
-  /// (work-stealing across clones) and solve_one (first-finisher race =
-  /// lane-level early exit on single queries); Sat/Unsat answers are
-  /// unchanged, only budget-exhausted Unknowns can vary with scheduling, as
-  /// the portfolio already documents. Ignored by the scalar env.
+  /// Worker threads for the vectorized env's lane SAT work; 0/1 =
+  /// sequential, >= 2 creates a private pool that runs a step's per-lane SAT
+  /// jobs on the lanes' private oracles concurrently: the AllSteps joint
+  /// checks and the EndOfEpisode terminal verifications. Each oracle still
+  /// sees exactly its scalar twin's query stream, so results are
+  /// bit-identical at any thread count. Ignored by the scalar env.
   std::size_t sat_dispatch_threads = 0;
 };
 
@@ -157,41 +154,28 @@ class CompatibleSetEnv final : public rl::Env {
 /// Lock-step batch of N CompatibleSetEnv lanes sharing one copy of the rare
 /// nets, compatibility matrix, witness signatures, and DistinctSetPool.
 ///
-/// Per step() the lanes run in three phases: a per-lane screen (membership +
+/// Per step() the lanes run in four phases: a per-lane screen (membership +
 /// pairwise matrix), a whole-word witness sweep (`util::BitVec` AND /
 /// intersect over the shared signature table — one pass across all active
-/// lanes), and a batched SAT dispatch for the lanes the witness could not
-/// answer. Episode-final sets funnel into the shared pool exactly as the
-/// scalar env's do.
+/// lanes), a batched SAT dispatch for the lanes the witness could not
+/// answer, and the transitions, after which the lanes that terminated this
+/// step are closed together (EndOfEpisode: their set verifications batched
+/// the same way). Episode-final sets funnel into the shared pool exactly as
+/// the scalar env's do.
 ///
-/// Determinism contract: with SatBackend::PerLane (the default), lane l's
-/// trajectory is bit-identical to a standalone CompatibleSetEnv fed the same
-/// RNG stream and actions — each lane owns a private, lazily-built oracle
-/// whose learnt-clause state evolves exactly as its scalar twin's, so even
-/// conflict-budget-exhausted Unknowns classify identically. The pool is a
-/// content-keyed set, so interleaved lane completion order cannot leak into
-/// artifacts.
+/// Determinism contract: lane l's trajectory is bit-identical to a
+/// standalone CompatibleSetEnv fed the same RNG stream and actions — each
+/// lane owns a private, lazily-built oracle whose learnt-clause state evolves
+/// exactly as its scalar twin's, so even conflict-budget-exhausted Unknowns
+/// classify identically. The pool is a content-keyed set, so interleaved lane
+/// completion order cannot leak into artifacts.
 class CompatibleSetVectorEnv final : public rl::VectorEnv {
  public:
-  /// How joint-satisfiability checks that miss the witness reach a solver.
-  enum class SatBackend {
-    /// One lazily-constructed NetlistOracle per lane; the step's pending
-    /// queries are dispatched as a batch over the lane oracles. Bit-identical
-    /// to N scalar envs under any conflict budget.
-    PerLane,
-    /// One shared clause-sharing sat::Portfolio answers each step's query
-    /// batch via solve_batch(). Sat/Unsat answers match PerLane; only
-    /// budget-exhausted Unknown classifications may differ (learnt clauses
-    /// accumulate across lanes). Cheaper on memory at high lane counts.
-    SharedPortfolio,
-  };
-
   CompatibleSetVectorEnv(const netlist::Netlist& netlist,
                          std::span<const analysis::RareNet> rare_nets,
                          const analysis::CompatibilityMatrix& matrix,
                          const EnvConfig& config, DistinctSetPool* pool,
-                         std::size_t lanes,
-                         SatBackend backend = SatBackend::PerLane);
+                         std::size_t lanes);
 
   std::size_t lanes() const override { return lanes_.size(); }
   std::size_t observation_size() const override { return rare_nets_.size(); }
@@ -213,9 +197,6 @@ class CompatibleSetVectorEnv final : public rl::VectorEnv {
   /// Joint checks answered by the witness sweep instead of a SAT call.
   std::uint64_t witness_hits() const { return witness_hits_; }
 
-  /// step() calls that dispatched more than one SAT query at once.
-  std::uint64_t batched_sat_dispatches() const { return batched_dispatches_; }
-
  private:
   struct Lane {
     util::BitVec state;                 // membership bitset
@@ -232,15 +213,24 @@ class CompatibleSetVectorEnv final : public rl::VectorEnv {
   float size_reward(std::size_t set_size) const;
   bool pairwise_ok(const Lane& lane, std::uint32_t action) const;
   sat::NetlistOracle& lane_oracle(std::size_t lane);
-  sat::Portfolio& shared_portfolio();
-  /// Lazy dispatch pool; nullptr when config.sat_dispatch_threads < 2.
-  util::ThreadPool* dispatch_pool();
-  void build_constraints(const Lane& lane, std::uint32_t extra_action);
-  /// Answers "are these constraints jointly satisfiable" through the
-  /// configured backend; exhausted budgets report false (conservative).
+  /// Runs job(0..jobs-1): across the lazily built dispatch pool when
+  /// config.sat_dispatch_threads >= 2 and there is more than one job, else in
+  /// order on the caller's thread.
+  void dispatch(std::size_t jobs, const std::function<void(std::size_t)>& job);
+  /// `lane`'s members plus `action` as rare-value constraints.
+  std::vector<sat::Constraint> joint_constraints(const Lane& lane,
+                                                 std::uint32_t action) const;
+  /// Answers "are these constraints jointly satisfiable" on `lane`'s oracle;
+  /// exhausted budgets report false (conservative).
   bool solve_joint(std::size_t lane, std::span<const sat::Constraint> constraints);
-  std::size_t longest_satisfiable_prefix(std::size_t lane);
-  void finish_lane(std::size_t lane);
+  /// EndOfEpisode verification of `lane`'s optimistic set: longest
+  /// satisfiable prefix plus greedy repair. Reads only that lane's state and
+  /// oracle; witness-answered checks are counted into `witness_hits`.
+  std::vector<std::uint32_t> verified_members(std::size_t lane,
+                                              std::uint64_t& witness_hits);
+  /// Closes the terminated lanes; their EndOfEpisode verifications run
+  /// across the dispatch pool when there is one.
+  void finish_lanes(std::span<const std::size_t> finishing);
   void rebuild_observation(Lane& lane);
 
   const netlist::Netlist* netlist_;
@@ -248,17 +238,12 @@ class CompatibleSetVectorEnv final : public rl::VectorEnv {
   const analysis::CompatibilityMatrix* matrix_;
   EnvConfig config_;
   DistinctSetPool* pool_;
-  SatBackend backend_;
   std::size_t max_steps_ = 0;
 
   std::vector<Lane> lanes_;
-  std::vector<std::unique_ptr<sat::NetlistOracle>> oracles_;  // PerLane, lazy
-  std::unique_ptr<sat::Portfolio> portfolio_;                 // SharedPortfolio, lazy
-  std::unique_ptr<util::ThreadPool> dispatch_pool_;           // lazy, see dispatch_pool()
-  std::vector<sat::Constraint> scratch_constraints_;
-  std::uint64_t portfolio_queries_ = 0;
+  std::vector<std::unique_ptr<sat::NetlistOracle>> oracles_;  // one per lane, lazy
+  std::unique_ptr<util::ThreadPool> dispatch_pool_;           // lazy, see dispatch()
   std::uint64_t witness_hits_ = 0;
-  std::uint64_t batched_dispatches_ = 0;
 };
 
 }  // namespace deterrent::core

@@ -128,37 +128,6 @@ std::vector<Solver::Result> Portfolio::solve_batch(std::span<const Query> querie
   return results;
 }
 
-Solver::Result Portfolio::solve_one(std::span<const Lit> assumptions,
-                                    util::ThreadPool* pool,
-                                    std::int64_t conflict_budget) {
-  winner_ = 0;
-  if (pool == nullptr || pool->thread_count() <= 1 || solvers_.size() == 1)
-    return solvers_[0]->solve(assumptions, conflict_budget);
-
-  std::atomic<bool> stop{false};
-  std::atomic<int> winner{-1};
-  std::vector<Solver::Result> results(solvers_.size(), Solver::Result::Unknown);
-  for (std::size_t i = 0; i < solvers_.size(); ++i) {
-    pool->submit([this, &assumptions, &stop, &winner, &results, conflict_budget, i] {
-      Solver& s = *solvers_[i];
-      s.set_interrupt(&stop);
-      import_fresh(i);
-      results[i] = s.solve(assumptions, conflict_budget);
-      publish_exports(i);
-      s.set_interrupt(nullptr);
-      if (results[i] != Solver::Result::Unknown) {
-        int expected = -1;
-        if (winner.compare_exchange_strong(expected, static_cast<int>(i)))
-          stop.store(true, std::memory_order_relaxed);
-      }
-    });
-  }
-  pool->wait_idle();
-  const int w = winner.load(std::memory_order_relaxed);
-  winner_ = w < 0 ? 0 : static_cast<std::size_t>(w);
-  return w < 0 ? Solver::Result::Unknown : results[winner_];
-}
-
 Portfolio::ShareStats Portfolio::share_stats() const {
   ShareStats stats;
   for (const auto& s : solvers_) {

@@ -68,12 +68,9 @@ class ClauseExchange {
 };
 
 /// N diversified solver clones over one encoding, cooperating through the
-/// clause exchange. Two modes:
-///  - solve_batch(): clones race down one shared query list (each query is
-///    solved by exactly one clone), importing peers' learnts between queries.
-///    This is the compatibility-matrix workhorse.
-///  - solve_one(): every clone attacks the same assumptions; the first
-///    finisher interrupts the rest (model/core read through winner()).
+/// clause exchange. solve_batch() has the clones race down one shared query
+/// list (each query is solved by exactly one clone), importing peers'
+/// learnts between queries — the compatibility-matrix workhorse.
 ///
 /// Answers (Sat/Unsat) are deterministic; which clone answers, and Unknown
 /// classification under a conflict budget, may vary with scheduling when a
@@ -102,15 +99,6 @@ class Portfolio {
   std::vector<Solver::Result> solve_batch(std::span<const Query> queries,
                                           util::ThreadPool* pool = nullptr);
 
-  /// Race mode: all clones solve the same assumptions, first finisher cancels
-  /// the rest. Model / conflict core are read through winner_solver().
-  Solver::Result solve_one(std::span<const Lit> assumptions,
-                           util::ThreadPool* pool = nullptr,
-                           std::int64_t conflict_budget = -1);
-
-  std::size_t winner() const { return winner_; }
-  const Solver& winner_solver() const { return *solvers_[winner_]; }
-
   struct ShareStats {
     std::uint64_t exported = 0;   ///< clauses clones offered for exchange
     std::uint64_t imported = 0;   ///< peer clauses attached across all clones
@@ -131,7 +119,6 @@ class Portfolio {
   std::vector<std::size_t> cursors_;  // per-clone exchange cursor
   ClauseExchange exchange_;
   std::atomic<std::size_t> next_query_{0};
-  std::size_t winner_ = 0;
 };
 
 }  // namespace deterrent::sat

@@ -418,10 +418,6 @@ Solver::Result Solver::search(std::int64_t max_conflicts,
       }
       var_decay();
       clause_decay();
-      if ((conflict_count & 63) == 0 && interrupted()) {
-        cancel_until(0);
-        return Result::Unknown;
-      }
     } else {
       if (max_conflicts >= 0 && conflict_count >= max_conflicts) {
         cancel_until(0);
@@ -449,10 +445,6 @@ Solver::Result Solver::search(std::int64_t max_conflicts,
         next = pick_branch_lit();
         if (next == kUndefLit) return Result::Sat;  // all variables assigned
         stats_.decisions++;
-        if ((stats_.decisions & 1023) == 0 && interrupted()) {
-          cancel_until(0);
-          return Result::Unknown;
-        }
       }
       new_decision_level();
       unchecked_enqueue(next, kCRefUndef);
@@ -486,7 +478,6 @@ Solver::Result Solver::solve(std::span<const Lit> assumptions,
   const std::uint64_t conflicts_start = stats_.conflicts;
   Result status = Result::Unknown;
   for (std::uint64_t restart = 0; status == Result::Unknown; ++restart) {
-    if (interrupted()) break;
     std::int64_t limit =
         static_cast<std::int64_t>(luby(2.0, restart) * restart_first_);
     if (conflict_budget >= 0) {
@@ -496,7 +487,7 @@ Solver::Result Solver::solve(std::span<const Lit> assumptions,
       limit = std::min(limit, conflict_budget - spent);
     }
     // Every re-entry that actually searches again is a restart (budget
-    // give-ups and interrupts exit above and are not counted).
+    // give-ups exit above and are not counted).
     if (restart > 0) stats_.restarts++;
     status = search(limit, assumptions);
   }

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -134,10 +133,6 @@ class Solver {
 
   // --- portfolio hooks ----------------------------------------------------
 
-  /// Cooperative cancellation: search polls `flag` and gives up with
-  /// Result::Unknown once it is set. Pass nullptr to detach.
-  void set_interrupt(const std::atomic<bool>* flag) { interrupt_ = flag; }
-
   /// With probability `probability` a decision picks a uniformly random
   /// unassigned variable instead of the top-activity one. Deterministic per
   /// (seed, query sequence); used for portfolio diversification.
@@ -210,9 +205,6 @@ class Solver {
   Lit pick_branch_lit();
   Result search(std::int64_t max_conflicts, std::span<const Lit> assumptions);
   void reduce_learnts();
-  bool interrupted() const {
-    return interrupt_ != nullptr && interrupt_->load(std::memory_order_relaxed);
-  }
 
   /// Sort + dedup + root-simplify `lits` in place. Returns false when the
   /// clause needs no adding (tautology or satisfied at root); an empty result
@@ -297,7 +289,6 @@ class Solver {
   std::vector<ReconstructEntry> reconstruct_;
 
   // Portfolio state.
-  const std::atomic<bool>* interrupt_ = nullptr;
   double random_branch_prob_ = 0.0;
   std::uint64_t branch_rng_ = 0;
   std::uint32_t restart_first_ = kRestartFirst;

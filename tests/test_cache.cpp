@@ -206,7 +206,6 @@ TEST(ArtifactCacheUnit, ConfigHashIsSensitiveToEverySerializedBlock) {
   mut().env.sat_dispatch_threads = base.env.sat_dispatch_threads + 2;
   mut().ppo.entropy_coef = base.ppo.entropy_coef + 0.5f;
   mut().ppo.rollout_lanes = base.ppo.rollout_lanes + 1;
-  mut().ppo.n_workers = base.ppo.n_workers + 1;
   mut().updates = base.updates + 1;
   mut().k_patterns = base.k_patterns + 1;
   mut().seed = base.seed + 1;

@@ -143,7 +143,13 @@ TEST(Integration, SequentialBenchmarkEndToEnd) {
   campaign.det.train();
   const auto patterns = campaign.det.extract_patterns();
   ASSERT_GT(patterns.pattern_count(), 0u);
-  EXPECT_GE(campaign.coverage(patterns), 0.0);  // runs clean end to end
+  util::Rng rng(10);
+  const auto random = sim::PatternSet::random(
+      campaign.bench.scan.comb.inputs().size(), 1000, rng);
+  const double cov = campaign.coverage(patterns);
+  const double cov_rnd = campaign.coverage(random);
+  EXPECT_GT(cov, cov_rnd) << "DETERRENT (" << patterns.pattern_count()
+                          << " patterns) must beat 1000 random patterns";
   // Pattern arity covers PIs + scanned state.
   EXPECT_EQ(patterns.input_count(),
             campaign.bench.scan.comb.inputs().size());

@@ -213,21 +213,20 @@ TEST(Artifacts, WrongKindAndFingerprintFailLoudly) {
 
 TEST(Artifacts, CrossRunMixingFailsLoudly) {
   // A compatibility artifact built from one rare-net set must not adopt into
-  // a pipeline holding different rare nets (same circuit, different seed ⇒
-  // different simulation draws can shift the rare list / rng chain).
+  // a pipeline holding different rare nets (same circuit, different
+  // rareness threshold ⇒ a different rare list).
   const Netlist nl = make_circuit(37);
+  DeterrentConfig b_cfg = quick_config(1);
+  b_cfg.rare.threshold = 0.05;
   Pipeline a(nl, quick_config(1));
-  Pipeline b(nl, quick_config(2));
+  Pipeline b(nl, b_cfg);
   ASSERT_EQ(a.run_rare_nets(), StageStatus::Complete);
   ASSERT_EQ(a.run_compatibility(), StageStatus::Complete);
   ASSERT_EQ(b.run_rare_nets(), StageStatus::Complete);
 
   auto compat = a.export_compatibility();
-  if (rare_content_hash(b.netlist_fingerprint(), b.rare_nets()) != compat.rare_hash) {
-    EXPECT_THROW(b.adopt(std::move(compat)), Error);
-  } else {
-    GTEST_SKIP() << "seeds produced identical rare-net sets";
-  }
+  ASSERT_NE(rare_content_hash(b.netlist_fingerprint(), b.rare_nets()), compat.rare_hash);
+  EXPECT_THROW(b.adopt(std::move(compat)), Error);
 }
 
 // ------------------------------------------------- resume bit-identity -----
@@ -312,26 +311,28 @@ TEST(Pipeline, MidTrainingCheckpointResumesBitIdentically) {
 }
 
 TEST(Pipeline, MidTrainingCheckpointWithRolloutLanesResumesBitIdentically) {
-  // Same kill-and-resume drill as above, but with the vectorized collector
-  // (rollout_lanes > 1): the checkpoint is taken between batched updates and
-  // must restore every lane RNG stream. Also pins the pipeline-level half of
-  // the determinism contract — rollout_lanes = N and n_workers = N runs must
-  // emit identical patterns end to end.
+  // Same kill-and-resume drill as above, but with rollout_lanes > 1: the
+  // checkpoint is taken between batched updates and must restore every lane
+  // RNG stream. Also pins the pipeline-level half of the determinism
+  // contract — a 4-lane run whose end-of-episode verifications fan out over
+  // 4 dispatch threads and a sequential 1-lane run must emit identical
+  // patterns end to end.
   const Netlist nl = make_circuit(44);
   DeterrentConfig lanes_cfg = quick_config(8);
   lanes_cfg.updates = 5;
   lanes_cfg.ppo.rollout_lanes = 4;
+  lanes_cfg.env.sat_dispatch_threads = 4;
 
-  DeterrentConfig workers_cfg = lanes_cfg;
-  workers_cfg.ppo.rollout_lanes = 1;
-  workers_cfg.ppo.n_workers = 4;
+  DeterrentConfig single_cfg = lanes_cfg;
+  single_cfg.ppo.rollout_lanes = 1;
+  single_cfg.env.sat_dispatch_threads = 0;
 
   Deterrent straight_lanes(nl, lanes_cfg);
   const auto lanes_patterns = straight_lanes.run();
-  Deterrent straight_workers(nl, workers_cfg);
-  const auto workers_patterns = straight_workers.run();
-  EXPECT_EQ(patterns_text(lanes_patterns), patterns_text(workers_patterns))
-      << "vectorized lanes and threaded workers diverged end to end";
+  Deterrent straight_single(nl, single_cfg);
+  const auto single_patterns = straight_single.run();
+  EXPECT_EQ(patterns_text(lanes_patterns), patterns_text(single_patterns))
+      << "4 lanes and 1 lane diverged end to end";
 
   TempDir dir("midtrain_lanes");
   {

@@ -434,13 +434,13 @@ TEST(Ppo, MaskedActionsNeverTakenAndBestAllowedFound) {
 }
 
 TEST(Ppo, VectorizedWorkersMatchProgress) {
-  // 4 workers must also learn the bandit (exercises the thread path).
+  // 4 lanes must also learn the bandit (exercises the multi-lane collector).
   PpoConfig cfg;
   cfg.episodes_per_update = 32;
   cfg.hidden_size = 16;
   cfg.entropy_coef = 0.01f;
   cfg.learning_rate = 1e-2f;
-  cfg.n_workers = 4;
+  cfg.rollout_lanes = 4;
   PpoTrainer trainer([](std::size_t) { return std::make_unique<BanditEnv>(); }, cfg, 7);
   double reward = 0.0;
   for (int u = 0; u < 40; ++u) reward = trainer.update().mean_episode_reward;

@@ -20,7 +20,6 @@
 #include "rl/mlp.hpp"
 #include "rl/mlp_kernels.hpp"
 #include "rl/ppo.hpp"
-#include "rl/vector_env.hpp"
 #include "util/assert.hpp"
 
 namespace deterrent {
@@ -35,7 +34,6 @@ using core::EnvConfig;
 using core::MaskMode;
 using core::RewardMode;
 using rl::Env;
-using rl::EnvVector;
 using rl::Mlp;
 using rl::PpoConfig;
 using rl::PpoTrainer;
@@ -303,19 +301,21 @@ void expect_stats_equal(const rl::PpoUpdateStats& a, const rl::PpoUpdateStats& b
 
 // -------------------------------------------- trainer-level differential ---
 
-/// The tentpole determinism contract: episodes are keyed by global episode
-/// index, so EVERY collector configuration — the scalar baseline, threaded
-/// workers, and vectorized lanes at any width — trains to bit-identical
-/// parameters. Lane counts cover the degenerate single lane, uneven episode
-/// splits (7), and more lanes than episodes (64).
-TEST(PpoVector, TrainingIsInvariantAcrossLaneAndWorkerCounts) {
+/// The determinism contract: episodes are keyed by global episode index, so
+/// the vectorized collector trains to bit-identical parameters at any lane
+/// count. Lane counts cover uneven episode splits (7) and more lanes than
+/// episodes (64), against the single-lane baseline.
+TEST(PpoVector, TrainingIsInvariantAcrossLaneCounts) {
   const auto factory = [](std::size_t) { return std::make_unique<WalkEnv>(); };
 
-  PpoTrainer baseline(factory, toy_config(), 17);  // scalar single-env trainer
+  PpoTrainer baseline(factory, toy_config(), 17);  // rollout_lanes = 1
   std::vector<rl::PpoUpdateStats> baseline_stats;
   for (int u = 0; u < 3; ++u) baseline_stats.push_back(baseline.update());
 
-  auto check = [&](const PpoConfig& cfg, const std::string& label) {
+  for (const std::size_t n : {2u, 7u, 64u}) {
+    const std::string label = "rollout_lanes=" + std::to_string(n);
+    PpoConfig cfg = toy_config();
+    cfg.rollout_lanes = n;
     PpoTrainer trainer(factory, cfg, 17);
     for (int u = 0; u < 3; ++u)
       expect_stats_equal(baseline_stats[static_cast<std::size_t>(u)],
@@ -325,17 +325,6 @@ TEST(PpoVector, TrainingIsInvariantAcrossLaneAndWorkerCounts) {
         << "policy params diverged: " << label;
     EXPECT_EQ(baseline.value().flat_params(), trainer.value().flat_params())
         << "value params diverged: " << label;
-  };
-
-  for (const std::size_t n : {1u, 2u, 7u, 64u}) {
-    PpoConfig lanes_cfg = toy_config();
-    lanes_cfg.rollout_lanes = n;
-    check(lanes_cfg, "rollout_lanes=" + std::to_string(n));
-  }
-  for (const std::size_t n : {2u, 4u}) {
-    PpoConfig workers_cfg = toy_config();
-    workers_cfg.n_workers = n;
-    check(workers_cfg, "n_workers=" + std::to_string(n));
   }
 }
 
@@ -365,41 +354,44 @@ class RecordingWalkEnv final : public Env {
   std::vector<float>* log_;
 };
 
-TEST(PpoVector, CollectedEpisodesAndRewardsIdenticalToScalarRollouts) {
+TEST(PpoVector, CollectedEpisodesAndRewardsIdenticalToSingleLaneRollouts) {
   constexpr std::size_t kLanes = 3;
-  std::vector<std::vector<float>> worker_logs(kLanes);
+  std::vector<float> single_log;
   std::vector<std::vector<float>> lane_logs(kLanes);
 
-  PpoConfig workers_cfg = toy_config();
-  workers_cfg.n_workers = kLanes;
-  PpoTrainer threaded(
-      [&](std::size_t w) { return std::make_unique<RecordingWalkEnv>(&worker_logs[w]); },
-      workers_cfg, 23);
+  PpoTrainer single(
+      [&](std::size_t) { return std::make_unique<RecordingWalkEnv>(&single_log); },
+      toy_config(), 23);
 
   PpoConfig lanes_cfg = toy_config();
   lanes_cfg.rollout_lanes = kLanes;
   PpoTrainer vectorized(
-      [&](std::size_t w) { return std::make_unique<RecordingWalkEnv>(&lane_logs[w]); },
+      [&](std::size_t l) { return std::make_unique<RecordingWalkEnv>(&lane_logs[l]); },
       lanes_cfg, 23);
 
-  for (int u = 0; u < 2; ++u) {
-    threaded.update();
+  constexpr int kUpdates = 2;
+  for (int u = 0; u < kUpdates; ++u) {
+    single.update();
     vectorized.update();
   }
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    EXPECT_FALSE(worker_logs[l].empty());
-    EXPECT_EQ(worker_logs[l], lane_logs[l])
-        << "lane " << l << " saw a different episode stream than worker " << l;
-  }
-}
 
-TEST(PpoVector, WorkersAndLanesAreMutuallyExclusive) {
-  PpoConfig cfg = toy_config();
-  cfg.n_workers = 2;
-  cfg.rollout_lanes = 2;
-  EXPECT_THROW(
-      PpoTrainer([](std::size_t) { return std::make_unique<WalkEnv>(); }, cfg, 1),
-      Error);
+  // The single lane runs every episode in order. Split its log at the -1
+  // reset markers (actions, rewards and observations are never negative)
+  // and deal episode e of each update to lane e mod kLanes.
+  const std::size_t per_update = lanes_cfg.episodes_per_update;
+  std::vector<std::vector<float>> expected(kLanes);
+  std::size_t episodes = 0;
+  for (const float x : single_log) {
+    if (x == -1.0f) ++episodes;
+    ASSERT_GT(episodes, 0u) << "log must open with a reset marker";
+    expected[((episodes - 1) % per_update) % kLanes].push_back(x);
+  }
+  EXPECT_EQ(episodes, kUpdates * per_update);
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    EXPECT_FALSE(lane_logs[l].empty());
+    EXPECT_EQ(expected[l], lane_logs[l])
+        << "lane " << l << " saw a different episode stream than the single lane";
+  }
 }
 
 // -------------------------------------------------- checkpoint / restore ---
@@ -490,13 +482,10 @@ std::uint32_t pick_masked_action(const util::BitVec& mask, util::Rng& rng) {
 /// asserts every observable matches at every step: observations, masks,
 /// rewards, done flags, members, SAT query counts, and the pooled sets.
 void run_lockstep_differential(const Fixture& f, const EnvConfig& cfg,
-                               std::size_t n_lanes, std::size_t episodes_per_lane,
-                               CompatibleSetVectorEnv::SatBackend backend,
-                               bool expect_exact_sat_count) {
+                               std::size_t n_lanes, std::size_t episodes_per_lane) {
   DistinctSetPool vec_pool;
   DistinctSetPool scalar_pool;
-  CompatibleSetVectorEnv venv(f.netlist, f.rare, f.matrix, cfg, &vec_pool, n_lanes,
-                              backend);
+  CompatibleSetVectorEnv venv(f.netlist, f.rare, f.matrix, cfg, &vec_pool, n_lanes);
   std::vector<std::unique_ptr<CompatibleSetEnv>> twins;
   std::vector<util::Rng> reset_rng_v;
   std::vector<util::Rng> reset_rng_s;
@@ -567,11 +556,9 @@ void run_lockstep_differential(const Fixture& f, const EnvConfig& cfg,
     }
   }
 
-  if (expect_exact_sat_count) {
-    std::uint64_t scalar_queries = 0;
-    for (const auto& twin : twins) scalar_queries += twin->sat_queries();
-    EXPECT_EQ(venv.sat_queries(), scalar_queries);
-  }
+  std::uint64_t scalar_queries = 0;
+  for (const auto& twin : twins) scalar_queries += twin->sat_queries();
+  EXPECT_EQ(venv.sat_queries(), scalar_queries);
   EXPECT_EQ(vec_pool.size(), scalar_pool.size());
   EXPECT_EQ(vec_pool.k_largest(vec_pool.size()),
             scalar_pool.k_largest(scalar_pool.size()));
@@ -579,7 +566,7 @@ void run_lockstep_differential(const Fixture& f, const EnvConfig& cfg,
 
 TEST(VectorEnvDifferential, LanesMatchScalarEnvsAcrossAllModeCombos) {
   const Fixture f = make_fixture(51);
-  if (f.rare.size() < 6) GTEST_SKIP();
+  ASSERT_GE(f.rare.size(), 6u);
   for (const RewardMode reward : {RewardMode::AllSteps, RewardMode::EndOfEpisode}) {
     for (const MaskMode mask : {MaskMode::Pairwise, MaskMode::None}) {
       EnvConfig cfg;
@@ -590,16 +577,14 @@ TEST(VectorEnvDifferential, LanesMatchScalarEnvsAcrossAllModeCombos) {
       if (mask == MaskMode::Pairwise) cfg.witness_signatures = &f.signatures;
       SCOPED_TRACE(testing::Message() << "reward=" << static_cast<int>(reward)
                                       << " mask=" << static_cast<int>(mask));
-      run_lockstep_differential(f, cfg, /*n_lanes=*/5, /*episodes_per_lane=*/3,
-                                CompatibleSetVectorEnv::SatBackend::PerLane,
-                                /*expect_exact_sat_count=*/true);
+      run_lockstep_differential(f, cfg, /*n_lanes=*/5, /*episodes_per_lane=*/3);
     }
   }
 }
 
 TEST(VectorEnvDifferential, WitnessSweepFiresAndPreservesTrajectories) {
   const Fixture f = make_fixture(52, 300);
-  if (f.rare.size() < 8) GTEST_SKIP();
+  ASSERT_GE(f.rare.size(), 8u);
   EnvConfig cfg;
   cfg.witness_signatures = &f.signatures;
   DistinctSetPool pool;
@@ -623,42 +608,27 @@ TEST(VectorEnvDifferential, WitnessSweepFiresAndPreservesTrajectories) {
       << "whole-word witness sweep never answered a joint check";
 }
 
-TEST(VectorEnvDifferential, SharedPortfolioBackendMatchesPerLane) {
-  // With an ample conflict budget the clause-sharing portfolio backend must
-  // produce the same trajectories as per-lane oracles (only budget-exhausted
-  // Unknowns may legally differ, and this fixture never exhausts).
-  const Fixture f = make_fixture(53);
-  if (f.rare.size() < 6) GTEST_SKIP();
-  EnvConfig cfg;
-  run_lockstep_differential(f, cfg, /*n_lanes=*/4, /*episodes_per_lane=*/2,
-                            CompatibleSetVectorEnv::SatBackend::SharedPortfolio,
-                            /*expect_exact_sat_count=*/false);
-}
-
 TEST(VectorEnvDifferential, PooledSatDispatchIsBitIdenticalAtEveryLaneCount) {
-  // sat_dispatch_threads >= 2 routes lane SAT queries through a private
-  // thread pool. For the PerLane backend this must be bit-identical to the
-  // sequential reference at every lane count (each lane's private oracle
-  // sees its scalar twin's exact query stream, whatever thread executes it),
-  // so the full lock-step differential — observations, masks, rewards,
-  // members, SAT query counts — runs with exact matching. The clause-sharing
-  // SharedPortfolio backend gets the same sweep under its existing contract
-  // (trajectory equality; only budget-exhausted Unknowns may legally differ,
-  // and this fixture never exhausts).
+  // sat_dispatch_threads >= 2 routes lane SAT work — AllSteps joint checks,
+  // EndOfEpisode terminal verifications — through a private thread pool.
+  // This must be bit-identical to the sequential reference at every lane
+  // count (each lane's private oracle sees its scalar twin's exact query
+  // stream, whatever thread executes it), so the full lock-step
+  // differential — observations, masks, rewards, members, SAT query
+  // counts — runs with exact matching.
   const Fixture f = make_fixture(55);
-  if (f.rare.size() < 6) GTEST_SKIP();
-  for (const std::size_t lanes : {std::size_t{1}, std::size_t{2}, std::size_t{5}}) {
-    for (const std::size_t threads : {std::size_t{2}, std::size_t{3}}) {
-      EnvConfig cfg;
-      cfg.sat_dispatch_threads = threads;
-      SCOPED_TRACE(testing::Message()
-                   << "lanes=" << lanes << " dispatch_threads=" << threads);
-      run_lockstep_differential(f, cfg, lanes, /*episodes_per_lane=*/2,
-                                CompatibleSetVectorEnv::SatBackend::PerLane,
-                                /*expect_exact_sat_count=*/true);
-      run_lockstep_differential(f, cfg, lanes, /*episodes_per_lane=*/2,
-                                CompatibleSetVectorEnv::SatBackend::SharedPortfolio,
-                                /*expect_exact_sat_count=*/false);
+  ASSERT_GE(f.rare.size(), 6u);
+  for (const RewardMode mode : {RewardMode::AllSteps, RewardMode::EndOfEpisode}) {
+    for (const std::size_t lanes : {std::size_t{1}, std::size_t{2}, std::size_t{5}}) {
+      for (const std::size_t threads : {std::size_t{2}, std::size_t{3}}) {
+        EnvConfig cfg;
+        cfg.reward_mode = mode;
+        cfg.sat_dispatch_threads = threads;
+        SCOPED_TRACE(testing::Message()
+                     << "mode=" << static_cast<int>(mode) << " lanes=" << lanes
+                     << " dispatch_threads=" << threads);
+        run_lockstep_differential(f, cfg, lanes, /*episodes_per_lane=*/2);
+      }
     }
   }
 }
@@ -678,7 +648,7 @@ struct LaneTrace {
 /// the dead lanes themselves must stay frozen through every step().
 TEST(VectorEnvProperty, DeadLanesStayFrozenAndSurvivorsAreUnaffected) {
   const Fixture f = make_fixture(54);
-  if (f.rare.size() < 6) GTEST_SKIP();
+  ASSERT_GE(f.rare.size(), 6u);
   EnvConfig cfg;
   cfg.witness_signatures = &f.signatures;
   constexpr std::size_t kLanes = 6;
@@ -795,51 +765,54 @@ TEST(VectorEnvProperty, DeadLanesStayFrozenAndSurvivorsAreUnaffected) {
 
 // --------------------------------------- trainer on the real environment ---
 
-TEST(PpoVector, LanesMatchWorkersOnCompatibleSetEnv) {
+/// The trainer on the batched CompatibleSetVectorEnv against the same
+/// trainer on an EnvVector of scalar CompatibleSetEnvs — the scalar env is
+/// the reference. The scalar side runs at 3 lanes (same schedule) and at 1
+/// lane (sequential reference).
+TEST(PpoVector, LanesMatchScalarEnvsOnCompatibleSetEnv) {
   const Fixture f = make_fixture(55);
-  if (f.rare.size() < 6) GTEST_SKIP();
+  ASSERT_GE(f.rare.size(), 6u);
   for (const RewardMode reward : {RewardMode::AllSteps, RewardMode::EndOfEpisode}) {
     for (const MaskMode mask : {MaskMode::Pairwise, MaskMode::None}) {
       EnvConfig env_cfg;
       env_cfg.reward_mode = reward;
       env_cfg.mask_mode = mask;
       env_cfg.witness_signatures = &f.signatures;
-      SCOPED_TRACE(testing::Message() << "reward=" << static_cast<int>(reward)
-                                      << " mask=" << static_cast<int>(mask));
-
-      DistinctSetPool worker_pool;
-      PpoConfig workers_cfg = toy_config();
-      workers_cfg.episodes_per_update = 8;
-      workers_cfg.n_workers = 3;
-      PpoTrainer threaded(
-          [&](std::size_t) {
-            return std::make_unique<CompatibleSetEnv>(f.netlist, f.rare, f.matrix,
-                                                      env_cfg, &worker_pool);
-          },
-          workers_cfg, 61);
 
       DistinctSetPool lane_pool;
-      PpoConfig lanes_cfg = workers_cfg;
-      lanes_cfg.n_workers = 1;
+      PpoConfig lanes_cfg = toy_config();
+      lanes_cfg.episodes_per_update = 8;
       lanes_cfg.rollout_lanes = 3;
       PpoTrainer vectorized(
-          [&](std::size_t) {
-            return std::make_unique<CompatibleSetEnv>(f.netlist, f.rare, f.matrix,
-                                                      env_cfg, &lane_pool);
-          },
-          lanes_cfg, 61,
-          [&](std::size_t lanes) {
+          nullptr, lanes_cfg, 61, [&](std::size_t lanes) {
             return std::make_unique<CompatibleSetVectorEnv>(
                 f.netlist, f.rare, f.matrix, env_cfg, &lane_pool, lanes);
           });
+      std::vector<rl::PpoUpdateStats> lane_stats;
+      for (int u = 0; u < 2; ++u) lane_stats.push_back(vectorized.update());
 
-      for (int u = 0; u < 2; ++u)
-        expect_stats_equal(threaded.update(), vectorized.update());
-      EXPECT_EQ(threaded.policy().flat_params(), vectorized.policy().flat_params());
-      EXPECT_EQ(threaded.value().flat_params(), vectorized.value().flat_params());
-      EXPECT_EQ(worker_pool.size(), lane_pool.size());
-      EXPECT_EQ(worker_pool.k_largest(worker_pool.size()),
-                lane_pool.k_largest(lane_pool.size()));
+      for (const std::size_t scalar_lanes : {std::size_t{3}, std::size_t{1}}) {
+        SCOPED_TRACE(testing::Message() << "reward=" << static_cast<int>(reward)
+                                        << " mask=" << static_cast<int>(mask)
+                                        << " scalar_lanes=" << scalar_lanes);
+        DistinctSetPool scalar_pool;
+        PpoConfig scalar_cfg = lanes_cfg;
+        scalar_cfg.rollout_lanes = scalar_lanes;
+        PpoTrainer reference(
+            [&](std::size_t) {
+              return std::make_unique<CompatibleSetEnv>(f.netlist, f.rare, f.matrix,
+                                                        env_cfg, &scalar_pool);
+            },
+            scalar_cfg, 61);
+
+        for (int u = 0; u < 2; ++u)
+          expect_stats_equal(reference.update(), lane_stats[static_cast<std::size_t>(u)]);
+        EXPECT_EQ(reference.policy().flat_params(), vectorized.policy().flat_params());
+        EXPECT_EQ(reference.value().flat_params(), vectorized.value().flat_params());
+        EXPECT_EQ(scalar_pool.size(), lane_pool.size());
+        EXPECT_EQ(scalar_pool.k_largest(scalar_pool.size()),
+                  lane_pool.k_largest(lane_pool.size()));
+      }
     }
   }
 }

@@ -181,7 +181,6 @@ TEST(Robustness, CampaignRetriesTransientFaultAndSucceeds) {
   CampaignConfig cfg;
   cfg.base = quick_config(7);
   cfg.base.offline_threads = 1;
-  cfg.base.ppo.n_workers = 1;
   cfg.threads = 1;
   cfg.session_root = dir.str();
   cfg.max_retries = 2;
@@ -353,11 +352,10 @@ TEST(Robustness, FaultInjectionSoakNeverCrashesAndHealsBitIdentically) {
 
   CampaignConfig cfg;
   cfg.base = quick_config(21);
-  cfg.base.offline_threads = 1;
-  // Two PPO workers so training actually fans out through util::ThreadPool —
-  // with every thread count at 1 the pool paths run inline and the
-  // threadpool.task site would never be reached.
-  cfg.base.ppo.n_workers = 2;
+  // Two offline threads so the offline phase actually fans out through
+  // util::ThreadPool — with every thread count at 1 the pool paths run
+  // inline and the threadpool.task site would never be reached.
+  cfg.base.offline_threads = 2;
   // Two portfolio clones so the offline phase routes through sat::Portfolio
   // and its clause-sharing channel — otherwise the sat.portfolio.share site
   // would never be reached.

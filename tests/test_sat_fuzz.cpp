@@ -277,50 +277,6 @@ TEST(SatFuzz, PortfolioBatchAgreesWithPlainSolver) {
   }
 }
 
-// Race mode: all clones attack one query, first finisher cancels the rest.
-// The winner's answer must match a plain solver, SAT must replay, UNSAT under
-// assumptions must carry a sound core.
-TEST(SatFuzz, PortfolioRaceMatchesPlainSolver) {
-  FuzzBudget budget;
-  util::ThreadPool pool(4);
-  for (std::uint64_t seed = 0; seed < 120 && !budget.expired(); ++seed) {
-    util::Rng rng(seed * 40503ull + 19);
-    const Cnf cnf = random_cnf(rng, 18, 30);
-
-    std::vector<Lit> assumptions;
-    const std::size_t n_assume = rng.below(4);
-    for (std::size_t k = 0; k < n_assume; ++k)
-      assumptions.push_back(
-          mk_lit(static_cast<Var>(rng.below(6)), rng.bernoulli(0.5)));
-
-    Solver plain;
-    plain.ensure_vars(cnf.var_count);
-    for (const auto& clause : cnf.clauses) plain.add_clause(clause);
-    const auto expected = plain.solve(assumptions);
-
-    sat::PortfolioConfig config;
-    config.solvers = 4;
-    config.seed = seed;
-    sat::Portfolio portfolio(config, [&](Solver& s, std::size_t) {
-      s.ensure_vars(cnf.var_count);
-      for (const auto& clause : cnf.clauses) s.add_clause(clause);
-      for (Var v = 0; v < 6; ++v) s.set_frozen(v);
-    });
-    const auto result = portfolio.solve_one(assumptions, &pool);
-    ASSERT_EQ(result, expected) << "seed " << seed;
-    const Solver& winner = portfolio.winner_solver();
-    if (result == Solver::Result::Sat) {
-      ASSERT_TRUE(model_satisfies(winner, cnf)) << "seed " << seed;
-    } else if (!assumptions.empty() && plain.okay()) {
-      for (const Lit l : winner.conflict_core()) {
-        bool is_assumption = false;
-        for (const Lit a : assumptions) is_assumption = is_assumption || l == a;
-        ASSERT_TRUE(is_assumption) << "seed " << seed;
-      }
-    }
-  }
-}
-
 // ---------------------------------------------- circuit model replay -------
 
 // Random circuits through the Tseitin encoder: when the solver says a net can
