@@ -59,6 +59,7 @@ int main(int argc, char** argv) {
   std::printf("  resolved by simulation co-occurrence : %zu\n", stats.sim_resolved);
   std::printf("  resolved by SAT (sat/unsat)          : %zu/%zu\n", stats.sat_sat,
               stats.sat_unsat);
+  std::printf("  SAT queries made (rest reused models): %zu\n", stats.sat_queries);
   std::printf("  unsatisfiable singletons             : %zu\n", stats.unsat_singletons);
   std::printf("  build time                           : %.2fs\n\n", stats.build_seconds);
 

@@ -1,7 +1,6 @@
 #include "analysis/compatibility.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <mutex>
 
 #include "sat/encoder.hpp"
@@ -125,6 +124,65 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> compatibility_shard_ranges(
   return ranges;
 }
 
+namespace {
+
+using PairIndex = std::pair<std::uint32_t, std::uint32_t>;
+
+/// Phase 2 on one private SAT oracle: decides every pair in `pairs`, appends
+/// the compatible ones to `found`, and adds the verdicts to `stats`
+/// (sat_sat, sat_unsat, timeout_pairs, sat_queries).
+///
+/// Model reuse: rare nets are declared query nets, hence frozen, so after a
+/// Sat answer the model's rare-net values are valid. The rare nets it drives
+/// to their rare values are pairwise compatible, so those pairs are recorded
+/// in `seen` and later answered Sat without a solver call. Only truly Sat
+/// pairs are ever skipped; every Unsat pair still reaches the solver.
+void decide_pairs(const netlist::Netlist& netlist, std::span<const RareNet> rare_nets,
+                  const CompatibilityBuildConfig& config, std::span<const PairIndex> pairs,
+                  std::vector<PairIndex>& found, CompatibilityBuildStats& stats) {
+  if (pairs.empty()) return;
+  const std::size_t n = rare_nets.size();
+  sat::OracleConfig ocfg;
+  ocfg.inprocess = config.inprocess;
+  std::vector<netlist::NetId> query_nets;
+  query_nets.reserve(n);
+  for (const auto& rn : rare_nets) query_nets.push_back(rn.net);
+  sat::NetlistOracle oracle(netlist, ocfg);
+  oracle.declare_query_nets(query_nets);
+
+  std::vector<util::BitVec> seen(n, util::BitVec(n));
+  util::BitVec at_rare(n);
+  for (const auto& [i, j] : pairs) {
+    if (seen[i].test(j)) {
+      ++stats.sat_sat;
+      found.emplace_back(i, j);
+      continue;
+    }
+    const sat::Constraint constraints[2] = {
+        {rare_nets[i].net, rare_nets[i].rare_value},
+        {rare_nets[j].net, rare_nets[j].rare_value},
+    };
+    const std::size_t arity = (i == j) ? 1 : 2;
+    ++stats.sat_queries;
+    const auto result =
+        oracle.try_satisfiable({constraints, arity}, config.sat_conflict_budget);
+    if (!result.has_value()) {
+      ++stats.timeout_pairs;
+    } else if (!*result) {
+      ++stats.sat_unsat;
+    } else {
+      ++stats.sat_sat;
+      found.emplace_back(i, j);
+      for (std::uint32_t r = 0; r < n; ++r)
+        at_rare.set(r, oracle.solver().model_value(rare_nets[r].net) ==
+                           rare_nets[r].rare_value);
+      for (const std::uint32_t r : at_rare.to_indices()) seen[r] |= at_rare;
+    }
+  }
+}
+
+}  // namespace
+
 CompatibilityMatrix build_compatibility_shard(
     const netlist::Netlist& netlist, std::span<const RareNet> rare_nets,
     const CompatibilityBuildConfig& config, std::span<const util::BitVec> signatures,
@@ -136,7 +194,7 @@ CompatibilityMatrix build_compatibility_shard(
   CompatibilityBuildStats local;
 
   // Phase 1 over the owned triangle slice.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> unresolved;
+  std::vector<PairIndex> unresolved;
   for (std::uint32_t i = row_begin; i < row_end; ++i) {
     for (std::uint32_t j = i; j < n; ++j) {
       ++local.pair_count;
@@ -149,34 +207,10 @@ CompatibilityMatrix build_compatibility_shard(
     }
   }
 
-  // Phase 2: one private oracle per shard; learnt clauses amortize across the
-  // shard's pair list. Sat/Unsat verdicts match the monolithic build's.
-  if (!unresolved.empty()) {
-    sat::OracleConfig ocfg;
-    ocfg.inprocess = config.inprocess;
-    std::vector<netlist::NetId> query_nets;
-    query_nets.reserve(rare_nets.size());
-    for (const auto& rn : rare_nets) query_nets.push_back(rn.net);
-    sat::NetlistOracle oracle(netlist, ocfg);
-    oracle.declare_query_nets(query_nets);
-    for (const auto& [i, j] : unresolved) {
-      sat::Constraint constraints[2] = {
-          {rare_nets[i].net, rare_nets[i].rare_value},
-          {rare_nets[j].net, rare_nets[j].rare_value},
-      };
-      const std::size_t arity = (i == j) ? 1 : 2;
-      const auto result =
-          oracle.try_satisfiable({constraints, arity}, config.sat_conflict_budget);
-      if (!result.has_value()) {
-        ++local.timeout_pairs;
-      } else if (*result) {
-        ++local.sat_sat;
-        matrix.set(i, j);
-      } else {
-        ++local.sat_unsat;
-      }
-    }
-  }
+  // Phase 2 on one private oracle; verdicts match the monolithic build's.
+  std::vector<PairIndex> found;
+  decide_pairs(netlist, rare_nets, config, unresolved, found, local);
+  for (const auto& [i, j] : found) matrix.set(i, j);
   if (stats != nullptr) *stats = local;
   return matrix;
 }
@@ -275,6 +309,7 @@ CompatibilityMatrix build_compatibility(const netlist::Netlist& netlist,
       local_stats.sat_sat += shard_stats[s].sat_sat;
       local_stats.sat_unsat += shard_stats[s].sat_unsat;
       local_stats.timeout_pairs += shard_stats[s].timeout_pairs;
+      local_stats.sat_queries += shard_stats[s].sat_queries;
     }
     if (signatures_out != nullptr) *signatures_out = std::move(signatures);
     local_stats.unsat_singletons = finalize_compatibility(matrix);
@@ -283,7 +318,7 @@ CompatibilityMatrix build_compatibility(const netlist::Netlist& netlist,
     return matrix;
   }
 
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> unresolved;
+  std::vector<PairIndex> unresolved;
   for (std::uint32_t i = 0; i < n; ++i) {
     for (std::uint32_t j = i; j < n; ++j) {
       if (i == j ? signatures[i].any() : signatures[i].intersects(signatures[j])) {
@@ -297,15 +332,11 @@ CompatibilityMatrix build_compatibility(const netlist::Netlist& netlist,
   if (signatures_out != nullptr) *signatures_out = std::move(signatures);
 
   // Phase 2 — SAT decides the pairs simulation never witnessed.
-  std::atomic<std::size_t> sat_sat{0};
-  std::atomic<std::size_t> sat_unsat{0};
-  std::atomic<std::size_t> timeouts{0};
-  std::mutex matrix_mutex;
-
   if (config.portfolio_threads >= 2) {
     // Clause-sharing portfolio: all clones hold the same encoding and race
     // down the shared pair list; learnt clauses flow between them at query
     // boundaries. Sat/Unsat answers are identical to the single-solver path.
+    // solve_batch exposes no models, so every pair is queried.
     sat::PortfolioConfig pcfg;
     pcfg.solvers = config.portfolio_threads;
     pcfg.share_lbd_cap = config.share_lbd_cap;
@@ -328,52 +359,34 @@ CompatibilityMatrix build_compatibility(const netlist::Netlist& netlist,
             sat::mk_lit(rare_nets[j].net, !rare_nets[j].rare_value));
     }
     const auto results = portfolio.solve_batch(queries, pool);
+    local_stats.sat_queries = queries.size();
     for (std::size_t k = 0; k < unresolved.size(); ++k) {
       const auto [i, j] = unresolved[k];
       switch (results[k]) {
         case sat::Solver::Result::Sat:
-          ++sat_sat;
+          ++local_stats.sat_sat;
           matrix.set(i, j);
           break;
-        case sat::Solver::Result::Unsat: ++sat_unsat; break;
-        case sat::Solver::Result::Unknown: ++timeouts; break;
+        case sat::Solver::Result::Unsat: ++local_stats.sat_unsat; break;
+        case sat::Solver::Result::Unknown: ++local_stats.timeout_pairs; break;
       }
     }
   } else {
-    // One oracle per worker; learnt clauses amortize across that worker's
-    // share. Bit-reproducible for a fixed seed regardless of thread count.
-    sat::OracleConfig ocfg;
-    ocfg.inprocess = config.inprocess;
-    std::vector<netlist::NetId> query_nets;
-    query_nets.reserve(rare_nets.size());
-    for (const auto& rn : rare_nets) query_nets.push_back(rn.net);
-
+    // One oracle per worker; learnt clauses and reused models stay within
+    // that worker's share. The matrix and verdict counts are bit-reproducible
+    // for a fixed seed regardless of thread count; sat_queries is not.
+    std::mutex merge_mutex;
     auto solve_range = [&](std::size_t begin, std::size_t end) {
-      sat::NetlistOracle oracle(netlist, ocfg);
-      oracle.declare_query_nets(query_nets);
-      std::vector<std::pair<std::uint32_t, std::uint32_t>> found;
-      for (std::size_t k = begin; k < end; ++k) {
-        const auto [i, j] = unresolved[k];
-        sat::Constraint constraints[2] = {
-            {rare_nets[i].net, rare_nets[i].rare_value},
-            {rare_nets[j].net, rare_nets[j].rare_value},
-        };
-        const std::size_t arity = (i == j) ? 1 : 2;
-        const auto result = oracle.try_satisfiable({constraints, arity},
-                                                   config.sat_conflict_budget);
-        if (!result.has_value()) {
-          ++timeouts;
-        } else if (*result) {
-          ++sat_sat;
-          found.emplace_back(i, j);
-        } else {
-          ++sat_unsat;
-        }
-      }
-      if (!found.empty()) {
-        std::lock_guard lock(matrix_mutex);
-        for (const auto& [i, j] : found) matrix.set(i, j);
-      }
+      std::vector<PairIndex> found;
+      CompatibilityBuildStats counts;
+      decide_pairs(netlist, rare_nets, config,
+                   std::span(unresolved).subspan(begin, end - begin), found, counts);
+      std::lock_guard lock(merge_mutex);
+      for (const auto& [i, j] : found) matrix.set(i, j);
+      local_stats.sat_sat += counts.sat_sat;
+      local_stats.sat_unsat += counts.sat_unsat;
+      local_stats.timeout_pairs += counts.timeout_pairs;
+      local_stats.sat_queries += counts.sat_queries;
     };
 
     if (pool != nullptr && pool->thread_count() > 1 && unresolved.size() > 64) {
@@ -384,9 +397,6 @@ CompatibilityMatrix build_compatibility(const netlist::Netlist& netlist,
       solve_range(0, unresolved.size());
     }
   }
-  local_stats.sat_sat = sat_sat.load();
-  local_stats.sat_unsat = sat_unsat.load();
-  local_stats.timeout_pairs = timeouts.load();
 
   // A rare net whose singleton is unsatisfiable can never participate in a
   // trigger: clear its whole row so masks and cliques ignore it.

@@ -99,16 +99,24 @@ struct CompatibilityBuildConfig {
 struct CompatibilityBuildStats {
   std::size_t pair_count = 0;          ///< unordered pairs examined
   std::size_t sim_resolved = 0;        ///< proven compatible by co-occurrence
-  std::size_t sat_sat = 0;             ///< proven compatible by SAT
+  /// Proven compatible by SAT: a query's verdict or an earlier query's model.
+  std::size_t sat_sat = 0;
   std::size_t sat_unsat = 0;           ///< proven incompatible by SAT
   std::size_t timeout_pairs = 0;       ///< budget exhausted (treated incompatible)
   std::size_t unsat_singletons = 0;    ///< rare nets with no satisfying pattern
+  /// Solver calls phase 2 made in this run. Runtime-only: never serialized,
+  /// so a build hydrated from a cached artifact or persisted shard partials
+  /// reports 0. Depends on the pair schedule (thread count, shard plan);
+  /// the matrix and the verdict counts above do not.
+  std::size_t sat_queries = 0;
   double build_seconds = 0.0;
 };
 
 /// Builds the pairwise matrix. Parallelized across `pool` with one SAT oracle
 /// per worker, mirroring the paper's 64-process offline computation (§3.3).
-/// Deterministic for fixed rng seed regardless of thread count.
+/// Each Sat model also answers the later pairs it proves (see docs/sat.md).
+/// The matrix and verdict counts are deterministic for a fixed rng seed
+/// regardless of thread count; stats->sat_queries is not.
 ///
 /// `signatures_out`, when non-null, receives the phase-1 activation
 /// signatures (one per rare net, pattern-indexed) so downstream consumers —

@@ -243,6 +243,7 @@ analysis::CompatibilityMatrix build_sharded_compatibility(
     local_stats.sat_sat += partial->stats.sat_sat;
     local_stats.sat_unsat += partial->stats.sat_unsat;
     local_stats.timeout_pairs += partial->stats.timeout_pairs;
+    local_stats.sat_queries += partial->stats.sat_queries;  // 0 for loaded partials
   }
   if (signatures_out != nullptr) *signatures_out = std::move(signatures);
   local_stats.unsat_singletons = analysis::finalize_compatibility(matrix);

@@ -180,7 +180,8 @@ StageStatus Pipeline::run_compatibility(const StageControl& control) {
     util::Log::info("pipeline: prepared ", rare_nets_.size(), " rare nets, ",
                     matrix_->edge_count(), " compatible pairs (",
                     compat_stats_.sim_resolved, " sim, ", compat_stats_.sat_sat,
-                    " sat) in ", compat_stats_.build_seconds, "s");
+                    " sat; ", compat_stats_.sat_queries, " SAT queries) in ",
+                    compat_stats_.build_seconds, "s");
 
     checkpoint(control, {Stage::Compatibility, 1, 1,
                          std::to_string(matrix_->edge_count()) + " compatible pairs",

@@ -308,25 +308,11 @@ TEST(Compatibility, UnsatSingletonClearsRow) {
   EXPECT_EQ(stats.unsat_singletons, 2u);  // both impossible
 }
 
-/// Property: matrix content equals ground-truth pairwise SAT on random
-/// circuits, regardless of whether the pre-filter or the solver resolved it.
-class CompatibilityGroundTruth : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(CompatibilityGroundTruth, MatchesDirectSatQueries) {
-  const Netlist nl = small_random(GetParam(), 200, 10);
-  util::Rng rng(GetParam() + 1);
-  RareNetConfig rcfg;
-  rcfg.threshold = 0.2;  // permissive: more pairs to check
-  rcfg.sim_patterns = 1 << 13;
-  auto rare = find_rare_nets(nl, rcfg, rng);
-  if (rare.size() > 25) rare.resize(25);
-  if (rare.size() < 2) GTEST_SKIP() << "profile produced too few rare nets";
-
-  CompatibilityBuildConfig ccfg;
-  ccfg.sim_patterns = 1 << 10;  // weak prefilter: force SAT involvement
-  util::Rng rng2(GetParam() + 2);
-  const auto matrix = build_compatibility(nl, rare, ccfg, rng2);
-
+/// Checks every matrix bit against a direct per-pair SAT query on a fresh
+/// oracle, regardless of whether the pre-filter, the solver, or an earlier
+/// query's model resolved it.
+void expect_matches_direct_sat(const Netlist& nl, std::span<const RareNet> rare,
+                               const CompatibilityMatrix& matrix) {
   sat::NetlistOracle oracle(nl);
   for (std::uint32_t i = 0; i < rare.size(); ++i) {
     for (std::uint32_t j = i; j < rare.size(); ++j) {
@@ -343,6 +329,27 @@ TEST_P(CompatibilityGroundTruth, MatchesDirectSatQueries) {
   }
 }
 
+/// Property: matrix content equals ground-truth pairwise SAT on random
+/// circuits.
+class CompatibilityGroundTruth : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CompatibilityGroundTruth, MatchesDirectSatQueries) {
+  const Netlist nl = small_random(GetParam(), 200, 10);
+  util::Rng rng(GetParam() + 1);
+  RareNetConfig rcfg;
+  rcfg.threshold = 0.2;  // permissive: more pairs to check
+  rcfg.sim_patterns = 1 << 13;
+  auto rare = find_rare_nets(nl, rcfg, rng);
+  if (rare.size() > 25) rare.resize(25);
+  ASSERT_GE(rare.size(), 2u) << "profile produced too few rare nets";
+
+  CompatibilityBuildConfig ccfg;
+  ccfg.sim_patterns = 1 << 10;  // weak prefilter: force SAT involvement
+  util::Rng rng2(GetParam() + 2);
+  const auto matrix = build_compatibility(nl, rare, ccfg, rng2);
+  expect_matches_direct_sat(nl, rare, matrix);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CompatibilityGroundTruth,
                          ::testing::Values(101, 202, 303, 404));
 
@@ -352,17 +359,32 @@ TEST(Compatibility, ThreadedBuildMatchesSequential) {
   RareNetConfig rcfg;
   rcfg.threshold = 0.15;
   const auto rare = find_rare_nets(nl, rcfg, rng);
-  if (rare.size() < 3) GTEST_SKIP();
+  ASSERT_GE(rare.size(), 3u);
 
+  // Reused models make the solver-call count schedule-dependent; the matrix
+  // and the verdict counts must not be.
+  CompatibilityBuildStats seq_stats;
   util::Rng rng_a(42);
-  util::Rng rng_b(42);
-  util::ThreadPool pool(4);
-  const auto seq = build_compatibility(nl, rare, {}, rng_a, nullptr);
-  const auto par = build_compatibility(nl, rare, {}, rng_b, &pool);
-  ASSERT_EQ(seq.size(), par.size());
-  for (std::uint32_t i = 0; i < seq.size(); ++i)
-    for (std::uint32_t j = 0; j < seq.size(); ++j)
-      ASSERT_EQ(seq.compatible(i, j), par.compatible(i, j)) << i << "," << j;
+  const auto seq = build_compatibility(nl, rare, {}, rng_a, nullptr, &seq_stats);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    for (const std::size_t shards : {std::size_t{0}, std::size_t{3}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " shard_count=" + std::to_string(shards));
+      util::ThreadPool pool(threads);
+      CompatibilityBuildConfig cfg;
+      cfg.shard_count = shards;
+      CompatibilityBuildStats stats;
+      util::Rng rng_b(42);
+      const auto par = build_compatibility(nl, rare, cfg, rng_b, &pool, &stats);
+      ASSERT_EQ(seq.size(), par.size());
+      for (std::uint32_t i = 0; i < seq.size(); ++i)
+        for (std::uint32_t j = 0; j < seq.size(); ++j)
+          ASSERT_EQ(seq.compatible(i, j), par.compatible(i, j)) << i << "," << j;
+      EXPECT_EQ(stats.sim_resolved, seq_stats.sim_resolved);
+      EXPECT_EQ(stats.sat_sat, seq_stats.sat_sat);
+      EXPECT_EQ(stats.sat_unsat, seq_stats.sat_unsat);
+    }
+  }
 }
 
 TEST(Compatibility, StatsAddUp) {
@@ -371,7 +393,7 @@ TEST(Compatibility, StatsAddUp) {
   RareNetConfig rcfg;
   rcfg.threshold = 0.15;
   const auto rare = find_rare_nets(nl, rcfg, rng);
-  if (rare.empty()) GTEST_SKIP();
+  ASSERT_GE(rare.size(), 1u);
   CompatibilityBuildStats stats;
   util::Rng rng2(14);
   build_compatibility(nl, rare, {}, rng2, nullptr, &stats);
@@ -379,7 +401,32 @@ TEST(Compatibility, StatsAddUp) {
   EXPECT_EQ(stats.pair_count, n * (n + 1) / 2);
   EXPECT_EQ(stats.sim_resolved + stats.sat_sat + stats.sat_unsat + stats.timeout_pairs,
             stats.pair_count);
+  // Every Unsat or timed-out pair reached the solver; only Sat pairs may have
+  // been answered by an earlier query's model.
+  EXPECT_LE(stats.sat_unsat + stats.timeout_pairs, stats.sat_queries);
+  EXPECT_LE(stats.sat_queries, stats.sat_sat + stats.sat_unsat + stats.timeout_pairs);
   EXPECT_GT(stats.build_seconds, 0.0);
+}
+
+TEST(Compatibility, ModelReuseSkipsSolverCalls) {
+  const Netlist nl = small_random(77, 300, 12);
+  util::Rng rng(21);
+  RareNetConfig rcfg;
+  rcfg.threshold = 0.2;
+  const auto rare = find_rare_nets(nl, rcfg, rng);
+  ASSERT_GE(rare.size(), 20u);
+
+  for (const bool inprocess : {true, false}) {
+    SCOPED_TRACE(inprocess ? "inprocess on" : "inprocess off");
+    CompatibilityBuildConfig ccfg;
+    ccfg.sim_patterns = 1 << 6;  // weak prefilter: most pairs reach phase 2
+    ccfg.inprocess = inprocess;
+    CompatibilityBuildStats stats;
+    util::Rng rng2(22);
+    const auto matrix = build_compatibility(nl, rare, ccfg, rng2, nullptr, &stats);
+    EXPECT_LT(stats.sat_queries, stats.sat_sat + stats.sat_unsat);
+    expect_matches_direct_sat(nl, rare, matrix);
+  }
 }
 
 }  // namespace

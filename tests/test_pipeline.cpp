@@ -107,6 +107,8 @@ TEST(Artifacts, CompatibilityRoundTrip) {
   EXPECT_EQ(loaded.stats.pair_count, exported.stats.pair_count);
   EXPECT_EQ(loaded.stats.sim_resolved, exported.stats.sim_resolved);
   EXPECT_EQ(loaded.stats.sat_sat, exported.stats.sat_sat);
+  // sat_queries is runtime-only: a loaded artifact made no solver calls.
+  EXPECT_EQ(loaded.stats.sat_queries, 0u);
   EXPECT_EQ(loaded.rare_hash, exported.rare_hash);
 }
 
