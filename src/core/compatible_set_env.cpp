@@ -7,6 +7,89 @@
 
 namespace deterrent::core {
 
+namespace {
+
+/// EndOfEpisode verification of an optimistic member list (insertion order),
+/// shared by the scalar and the vectorized env so both issue the same query
+/// stream. Prefix satisfiability is monotone (constraints only accumulate),
+/// so a binary search finds the longest satisfiable prefix in O(log T) SAT
+/// calls instead of one per step — the mechanism that makes end-of-episode
+/// reward cheap (§3.2). A simulation witness (the AND of the members'
+/// signatures is nonzero) answers a check without the oracle; such checks
+/// are counted into `witness_hits`. `solve` answers joint satisfiability of
+/// a constraint list on the caller's oracle (an exhausted budget is false);
+/// `constraints` is scratch space.
+template <class Solve>
+std::vector<std::uint32_t> verify_members(std::span<const std::uint32_t> members,
+                                          std::span<const analysis::RareNet> rare_nets,
+                                          const std::vector<util::BitVec>* sigs,
+                                          std::size_t repair_budget,
+                                          std::vector<sat::Constraint>& constraints,
+                                          std::uint64_t& witness_hits, Solve&& solve) {
+  const auto witness_of = [&](std::size_t len) {
+    util::BitVec joint = (*sigs)[members[0]];
+    for (std::size_t k = 1; k < len; ++k) joint &= (*sigs)[members[k]];
+    return joint;
+  };
+  const auto prefix_sat = [&](std::size_t len) {
+    if (sigs != nullptr && witness_of(len).any()) {
+      ++witness_hits;
+      return true;
+    }
+    constraints.clear();
+    for (std::size_t k = 0; k < len; ++k) {
+      const auto& rn = rare_nets[members[k]];
+      constraints.push_back({rn.net, rn.rare_value});
+    }
+    return solve(std::span<const sat::Constraint>(constraints));
+  };
+
+  std::size_t lo = 1;  // singleton start is satisfiable by construction
+  std::size_t hi = members.size();
+  if (prefix_sat(hi)) return {members.begin(), members.end()};
+  while (hi - lo > 1) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (prefix_sat(mid))
+      lo = mid;
+    else
+      hi = mid;
+  }
+
+  // Greedy repair: pairwise evidence admitted members the joint check now
+  // rejects, but usually only a few — retry members beyond the verified
+  // prefix individually, up to the configured budget. Extra SAT calls are
+  // paid only on truncated episodes and never exceed the all-steps per-step
+  // cost, yet recover most of the set (the paper's small −5.6% quality gap
+  // rather than a prefix cliff).
+  std::vector<std::uint32_t> kept(members.begin(),
+                                  members.begin() + static_cast<std::ptrdiff_t>(lo));
+  util::BitVec joint;
+  if (sigs != nullptr) joint = witness_of(lo);
+  constraints.clear();
+  for (const std::uint32_t m : kept)
+    constraints.push_back({rare_nets[m].net, rare_nets[m].rare_value});
+  std::size_t budget = repair_budget;
+  for (std::size_t k = lo + 1; k < members.size() && budget > 0; ++k, --budget) {
+    const auto& rn = rare_nets[members[k]];  // member lo itself broke the prefix
+    constraints.push_back({rn.net, rn.rare_value});
+    if (sigs != nullptr && joint.intersects((*sigs)[members[k]])) {
+      ++witness_hits;
+      joint &= (*sigs)[members[k]];
+      kept.push_back(members[k]);
+      continue;
+    }
+    if (solve(std::span<const sat::Constraint>(constraints))) {
+      if (sigs != nullptr) joint &= (*sigs)[members[k]];
+      kept.push_back(members[k]);
+    } else {
+      constraints.pop_back();
+    }
+  }
+  return kept;
+}
+
+}  // namespace
+
 CompatibleSetEnv::CompatibleSetEnv(const netlist::Netlist& netlist,
                                    std::span<const analysis::RareNet> rare_nets,
                                    const analysis::CompatibilityMatrix& matrix,
@@ -91,79 +174,6 @@ bool CompatibleSetEnv::joint_satisfiable_with(std::uint32_t action) {
       .value_or(false);
 }
 
-std::size_t CompatibleSetEnv::longest_satisfiable_prefix() {
-  // Prefix satisfiability is monotone (constraints only accumulate), so a
-  // binary search needs O(log T) SAT calls instead of one per step — the
-  // mechanism that makes end-of-episode reward cheap (§3.2).
-  const auto* sigs = config_.witness_signatures;
-  auto prefix_sat = [&](std::size_t len) {
-    if (sigs != nullptr) {
-      util::BitVec joint = (*sigs)[members_[0]];
-      for (std::size_t k = 1; k < len; ++k) joint &= (*sigs)[members_[k]];
-      if (joint.any()) {
-        ++witness_hits_;
-        return true;
-      }
-    }
-    scratch_constraints_.clear();
-    for (std::size_t k = 0; k < len; ++k) {
-      const auto& rn = rare_nets_[members_[k]];
-      scratch_constraints_.push_back({rn.net, rn.rare_value});
-    }
-    return oracle_
-        .try_satisfiable(scratch_constraints_, config_.sat_conflict_budget)
-        .value_or(false);
-  };
-
-  std::size_t lo = 1;  // singleton start is satisfiable by construction
-  std::size_t hi = members_.size();
-  if (prefix_sat(hi)) return hi;
-  while (hi - lo > 1) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (prefix_sat(mid))
-      lo = mid;
-    else
-      hi = mid;
-  }
-
-  // Greedy repair: pairwise evidence admitted members the joint check now
-  // rejects, but usually only a few — retry members beyond the verified
-  // prefix individually, up to the configured budget. Extra SAT calls are
-  // paid only on truncated episodes and never exceed the all-steps per-step
-  // cost, yet recover most of the set (the paper's small −5.6% quality gap
-  // rather than a prefix cliff).
-  std::vector<std::uint32_t> kept(members_.begin(),
-                                  members_.begin() + static_cast<std::ptrdiff_t>(lo));
-  util::BitVec joint;
-  if (sigs != nullptr) {
-    joint = (*sigs)[kept[0]];
-    for (std::size_t k = 1; k < kept.size(); ++k) joint &= (*sigs)[kept[k]];
-  }
-  scratch_constraints_.clear();
-  for (const std::uint32_t m : kept)
-    scratch_constraints_.push_back({rare_nets_[m].net, rare_nets_[m].rare_value});
-  std::size_t budget = config_.eoe_repair_budget;
-  for (std::size_t k = lo + 1; k < members_.size() && budget > 0; ++k, --budget) {
-    const auto& rn = rare_nets_[members_[k]];  // member lo itself broke the prefix
-    scratch_constraints_.push_back({rn.net, rn.rare_value});
-    if (sigs != nullptr && joint.intersects((*sigs)[members_[k]])) {
-      ++witness_hits_;
-      joint &= (*sigs)[members_[k]];
-      kept.push_back(members_[k]);
-      continue;
-    }
-    if (oracle_.try_satisfiable(scratch_constraints_, config_.sat_conflict_budget)
-            .value_or(false)) {
-      if (sigs != nullptr) joint &= (*sigs)[members_[k]];
-      kept.push_back(members_[k]);
-    } else {
-      scratch_constraints_.pop_back();
-    }
-  }
-  members_ = std::move(kept);
-  return members_.size();
-}
-
 void CompatibleSetEnv::refresh_mask_after_add(std::uint32_t action) {
   if (config_.mask_mode == MaskMode::Pairwise) {
     mask_ &= matrix_->row(action);
@@ -236,12 +246,16 @@ rl::StepResult CompatibleSetEnv::step(std::uint32_t action) {
 
   if (result.done) {
     if (config_.reward_mode == RewardMode::EndOfEpisode) {
-      const std::size_t prefix = longest_satisfiable_prefix();
-      members_.resize(prefix);
-      util::BitVec verified(rare_nets_.size());
-      for (const std::uint32_t m : members_) verified.set(m);
-      state_ = verified;
-      result.reward = size_reward(prefix);
+      members_ = verify_members(
+          members_, rare_nets_, config_.witness_signatures, config_.eoe_repair_budget,
+          scratch_constraints_, witness_hits_,
+          [&](std::span<const sat::Constraint> constraints) {
+            return oracle_.try_satisfiable(constraints, config_.sat_conflict_budget)
+                .value_or(false);
+          });
+      state_.clear_all();
+      for (const std::uint32_t m : members_) state_.set(m);
+      result.reward = size_reward(members_.size());
       if (pool_ != nullptr) pool_->add(state_);
       episode_open_ = false;
     } else {
@@ -381,73 +395,6 @@ bool CompatibleSetVectorEnv::solve_joint(std::size_t lane,
       .value_or(false);
 }
 
-std::vector<std::uint32_t> CompatibleSetVectorEnv::verified_members(
-    std::size_t l, std::uint64_t& witness_hits) {
-  // Mirrors CompatibleSetEnv::longest_satisfiable_prefix: binary search over
-  // the monotone prefix plus greedy repair, with the witness joint computed
-  // as whole-word BitVec ANDs over the shared signature table. Touches only
-  // lane l's members and oracle, so distinct lanes may run concurrently.
-  const Lane& lane = lanes_[l];
-  const auto* sigs = config_.witness_signatures;
-  std::vector<sat::Constraint> constraints;
-  auto prefix_sat = [&](std::size_t len) {
-    if (sigs != nullptr) {
-      util::BitVec joint = (*sigs)[lane.members[0]];
-      for (std::size_t k = 1; k < len; ++k) joint &= (*sigs)[lane.members[k]];
-      if (joint.any()) {
-        ++witness_hits;
-        return true;
-      }
-    }
-    constraints.clear();
-    for (std::size_t k = 0; k < len; ++k) {
-      const auto& rn = rare_nets_[lane.members[k]];
-      constraints.push_back({rn.net, rn.rare_value});
-    }
-    return solve_joint(l, constraints);
-  };
-
-  std::size_t lo = 1;  // singleton start is satisfiable by construction
-  std::size_t hi = lane.members.size();
-  if (prefix_sat(hi)) return lane.members;
-  while (hi - lo > 1) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (prefix_sat(mid))
-      lo = mid;
-    else
-      hi = mid;
-  }
-
-  std::vector<std::uint32_t> kept(
-      lane.members.begin(), lane.members.begin() + static_cast<std::ptrdiff_t>(lo));
-  util::BitVec joint;
-  if (sigs != nullptr) {
-    joint = (*sigs)[kept[0]];
-    for (std::size_t k = 1; k < kept.size(); ++k) joint &= (*sigs)[kept[k]];
-  }
-  constraints.clear();
-  for (const std::uint32_t m : kept)
-    constraints.push_back({rare_nets_[m].net, rare_nets_[m].rare_value});
-  std::size_t budget = config_.eoe_repair_budget;
-  for (std::size_t k = lo + 1; k < lane.members.size() && budget > 0; ++k, --budget) {
-    const auto& rn = rare_nets_[lane.members[k]];  // member lo broke the prefix
-    constraints.push_back({rn.net, rn.rare_value});
-    if (sigs != nullptr && joint.intersects((*sigs)[lane.members[k]])) {
-      ++witness_hits;
-      joint &= (*sigs)[lane.members[k]];
-      kept.push_back(lane.members[k]);
-      continue;
-    }
-    if (solve_joint(l, constraints)) {
-      if (sigs != nullptr) joint &= (*sigs)[lane.members[k]];
-      kept.push_back(lane.members[k]);
-    } else {
-      constraints.pop_back();
-    }
-  }
-  return kept;
-}
-
 void CompatibleSetVectorEnv::finish_lanes(std::span<const std::size_t> finishing) {
   for (const std::size_t l : finishing) {
     lanes_[l].open = false;
@@ -460,7 +407,12 @@ void CompatibleSetVectorEnv::finish_lanes(std::span<const std::size_t> finishing
     std::vector<std::vector<std::uint32_t>> verified(finishing.size());
     std::vector<std::uint64_t> hits(finishing.size(), 0);
     dispatch(finishing.size(), [&](std::size_t k) {
-      verified[k] = verified_members(finishing[k], hits[k]);
+      const std::size_t l = finishing[k];
+      std::vector<sat::Constraint> constraints;
+      verified[k] = verify_members(
+          lanes_[l].members, rare_nets_, config_.witness_signatures,
+          config_.eoe_repair_budget, constraints, hits[k],
+          [&](std::span<const sat::Constraint> cs) { return solve_joint(l, cs); });
     });
     for (std::size_t k = 0; k < finishing.size(); ++k) {
       Lane& lane = lanes_[finishing[k]];

@@ -128,7 +128,6 @@ class CompatibleSetEnv final : public rl::Env {
   }
 
   bool joint_satisfiable_with(std::uint32_t action);
-  std::size_t longest_satisfiable_prefix();
   void refresh_mask_after_add(std::uint32_t action);
   std::vector<float> observation() const;
   void finish_episode();
@@ -223,13 +222,10 @@ class CompatibleSetVectorEnv final : public rl::VectorEnv {
   /// Answers "are these constraints jointly satisfiable" on `lane`'s oracle;
   /// exhausted budgets report false (conservative).
   bool solve_joint(std::size_t lane, std::span<const sat::Constraint> constraints);
-  /// EndOfEpisode verification of `lane`'s optimistic set: longest
-  /// satisfiable prefix plus greedy repair. Reads only that lane's state and
-  /// oracle; witness-answered checks are counted into `witness_hits`.
-  std::vector<std::uint32_t> verified_members(std::size_t lane,
-                                              std::uint64_t& witness_hits);
-  /// Closes the terminated lanes; their EndOfEpisode verifications run
-  /// across the dispatch pool when there is one.
+  /// Closes the terminated lanes. Their EndOfEpisode verifications (longest
+  /// satisfiable prefix plus greedy repair, the helper the scalar env uses
+  /// too) each read only their lane's state and oracle, so they run across
+  /// the dispatch pool when there is one.
   void finish_lanes(std::span<const std::size_t> finishing);
   void rebuild_observation(Lane& lane);
 

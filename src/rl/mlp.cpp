@@ -45,8 +45,7 @@ std::vector<float> Mlp::forward(std::span<const float> input, Workspace& ws) con
       for (std::size_t i = 0; i < layer.in; ++i) acc += wrow[i] * x[i];
       out[o] = acc;
     }
-    if (l + 1 < layers_.size())
-      for (auto& v : out) v = std::tanh(v);
+    if (l + 1 < layers_.size()) kernels_->tanh(out.data(), out.data(), out.size());
     x = out;
   }
   return ws.post.back();
@@ -95,58 +94,74 @@ std::span<const float> Mlp::forward_batch_impl(RowPtrFn row_ptr, std::size_t row
   DETERRENT_ASSERT(rows > 0, "Mlp::forward_batch needs at least one row");
   ws.rows = rows;
   ws.post.resize(layers_.size());
-
-  const float* x = nullptr;  // layers > 0 read the previous contiguous post
+  std::size_t widest = 0;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const auto& layer = layers_[l];
-    auto& out = ws.post[l];
-    out.resize(rows * layer.out);
-    ws.scratch.resize(kTile * layer.in);
-    float* xt = ws.scratch.data();
-    // Only the first layer sees the raw observations, which in this MDP are
-    // mostly-zero indicator vectors — worth the nonzero-column bookkeeping.
-    const bool sparse = l == 0;
-    if (sparse) {
-      ws.nz.resize(layer.in);
-      ws.cols.reserve(layer.in);
+    ws.post[l].resize(rows * layers_[l].out);
+    widest = std::max(widest, layers_[l].out);
+  }
+  // scratch = the transposed input tile, then two lane-major layer-output
+  // tiles that alternate as each layer's result and the next layer's input.
+  const std::size_t in0 = input_size();
+  ws.scratch.resize(kTile * (in0 + 2 * widest));
+  float* const xt0 = ws.scratch.data();
+  float* const tiles[2] = {xt0 + kTile * in0, xt0 + kTile * (in0 + widest)};
+  // Only nonzero inputs are written into the (zeroed) input tile; each tile
+  // clears what the previous one wrote. The raw observations of this MDP
+  // are mostly-zero indicator vectors, so the first layer also skips the
+  // columns that are zero across the whole tile, and every row's nonzeros
+  // are kept for backward_batch.
+  std::fill(xt0, xt0 + kTile * in0, 0.0f);
+  ws.nz.assign(in0, 0);
+  ws.cols.clear();
+  ws.row_off.assign(1, 0);
+
+  for (std::size_t n0 = 0; n0 < rows; n0 += kTile) {
+    const std::size_t tn = std::min(kTile, rows - n0);
+    for (const std::uint32_t i : ws.cols) {
+      std::fill_n(xt0 + i * kTile, kTile, 0.0f);
+      ws.nz[i] = 0;
     }
-    for (std::size_t n0 = 0; n0 < rows; n0 += kTile) {
-      const std::size_t tn = std::min(kTile, rows - n0);
-      // Transpose the row tile to lane-major so the hot loop reads both the
-      // weight row and the input lanes with unit stride.
-      if (tn < kTile) std::fill(ws.scratch.begin(), ws.scratch.end(), 0.0f);
-      if (sparse) {
-        std::fill(ws.nz.begin(), ws.nz.end(), static_cast<unsigned char>(0));
-        for (std::size_t n = 0; n < tn; ++n) {
-          const float* xr = row_ptr(n0 + n);
-          for (std::size_t i = 0; i < layer.in; ++i) {
-            const float v = xr[i];
-            xt[i * kTile + n] = v;
-            if (v != 0.0f) ws.nz[i] = 1;
-          }
-        }
-        ws.cols.clear();
-        for (std::size_t i = 0; i < layer.in; ++i)
-          if (ws.nz[i] != 0) ws.cols.push_back(static_cast<std::uint32_t>(i));
-      } else {
-        for (std::size_t n = 0; n < tn; ++n)
-          for (std::size_t i = 0; i < layer.in; ++i)
-            xt[i * kTile + n] = x[(n0 + n) * layer.in + i];
+    // Transpose the tile to lane-major, so the kernels read both the weight
+    // rows and the input lanes with unit stride. Each row's nonzeros are
+    // listed branch-free first (the buffers only ever grow).
+    for (std::size_t n = 0; n < tn; ++n) {
+      const float* xr = row_ptr(n0 + n);
+      const std::size_t used = ws.row_off.back();
+      if (ws.row_cols.size() < used + in0) {
+        ws.row_cols.resize(used + in0);
+        ws.row_vals.resize(used + in0);
       }
-      for (std::size_t o = 0; o < layer.out; ++o) {
-        const float* wrow = layer.w.data() + o * layer.in;
-        float acc[kernels::kMlpLanes];
-        if (sparse)
-          kernels_->matvec_cols(wrow, xt, ws.cols.data(), ws.cols.size(),
-                                layer.b[o], acc);
-        else
-          kernels_->matvec_dense(wrow, xt, layer.in, layer.b[o], acc);
-        for (std::size_t n = 0; n < tn; ++n) out[(n0 + n) * layer.out + o] = acc[n];
+      std::uint32_t* cols = ws.row_cols.data() + used;
+      float* vals = ws.row_vals.data() + used;
+      std::size_t count = 0;
+      for (std::size_t i = 0; i < in0; ++i) {
+        const float v = xr[i];
+        cols[count] = static_cast<std::uint32_t>(i);
+        vals[count] = v;
+        count += v != 0.0f ? 1 : 0;
       }
+      for (std::size_t j = 0; j < count; ++j) {
+        xt0[cols[j] * kTile + n] = vals[j];
+        ws.nz[cols[j]] = 1;
+      }
+      ws.row_off.push_back(static_cast<std::uint32_t>(used + count));
     }
-    if (l + 1 < layers_.size())
-      for (auto& v : out) v = std::tanh(v);
-    x = out.data();
+    ws.cols.clear();
+    for (std::size_t i = 0; i < in0; ++i)
+      if (ws.nz[i] != 0) ws.cols.push_back(static_cast<std::uint32_t>(i));
+
+    // The tile runs through every layer before the next tile starts: each
+    // layer's lane-major output tile is the next layer's input tile as is.
+    const float* xt = xt0;
+    for (std::size_t l = 0; l < layers_.size(); ++l) {
+      const auto& layer = layers_[l];
+      float* acc = tiles[l % 2];
+      kernels_->forward_tile(layer.w.data(), layer.b.data(), layer.in, layer.out, xt,
+                             l == 0 ? ws.cols.data() : nullptr, ws.cols.size(), acc);
+      if (l + 1 < layers_.size()) kernels_->tanh(acc, acc, layer.out * kTile);
+      kernels_->tile_to_rows(acc, layer.out, tn, ws.post[l].data() + n0 * layer.out);
+      xt = acc;
+    }
   }
   return ws.post.back();
 }
@@ -169,68 +184,32 @@ std::span<const float> Mlp::forward_batch(const float* const* row_ptrs,
                             rows, ws);
 }
 
-template <typename RowPtrFn>
-void Mlp::backward_batch_impl(RowPtrFn row_ptr, const BatchWorkspace& ws,
-                              std::span<const float> output_grads) {
+void Mlp::backward_batch(const BatchWorkspace& ws, std::span<const float> output_grads) {
   constexpr std::size_t kTile = kernels::kMlpLanes;
   const std::size_t rows = ws.rows;
-  DETERRENT_ASSERT(rows > 0 && ws.post.size() == layers_.size(),
+  DETERRENT_ASSERT(rows > 0 && ws.post.size() == layers_.size() &&
+                       ws.row_off.size() == rows + 1,
                    "Mlp::backward_batch workspace/layer mismatch");
   DETERRENT_ASSERT(output_grads.size() == rows * output_size(),
                    "Mlp::backward_batch output grad size mismatch");
 
   std::vector<float> grad(output_grads.begin(), output_grads.end());
   std::vector<float> prev_grad;
-  std::vector<std::uint32_t> x_nz;      // layer-0 per-row nonzero columns
-  std::vector<std::uint32_t> x_nz_off;  // row n owns x_nz[off[n], off[n+1])
   for (std::size_t l = layers_.size(); l-- > 0;) {
     auto& layer = layers_[l];
-    const float* x_base = l == 0 ? nullptr : ws.post[l - 1].data();
 
-    // Pass 1 — weight/bias gradients. Row tiles keep the x working set
-    // L1-resident while each weight-gradient row streams through once per
-    // tile. Per gradient element the accumulation order stays ascending in
-    // row index (tiles and rows within a tile both ascend), matching
-    // row-by-row backward().
-    //
-    // The first layer sees the raw mostly-zero observations, so it walks a
-    // per-row nonzero list instead of the dense row. Exact: a skipped term
-    // is g·(±0) = ±0, and adding a signed zero to a gw accumulator never
-    // changes it — gw starts at +0 (zero_grad) and IEEE round-to-nearest
-    // keeps zero sums at +0 ((+0) + (−0) = +0; nonzero terms that cancel
-    // round to +0), so the accumulator never holds −0.0f for a signed zero
-    // to flip.
-    const bool sparse = l == 0;
-    if (sparse) {
-      x_nz.clear();
-      x_nz_off.resize(rows + 1);
-      for (std::size_t n = 0; n < rows; ++n) {
-        x_nz_off[n] = static_cast<std::uint32_t>(x_nz.size());
-        const float* xr = row_ptr(n);
-        for (std::size_t i = 0; i < layer.in; ++i)
-          if (xr[i] != 0.0f) x_nz.push_back(static_cast<std::uint32_t>(i));
-      }
-      x_nz_off[rows] = static_cast<std::uint32_t>(x_nz.size());
-    }
-    for (std::size_t n0 = 0; n0 < rows; n0 += kTile) {
-      const std::size_t tn = std::min(kTile, rows - n0);
-      for (std::size_t o = 0; o < layer.out; ++o) {
-        float* gw_row = layer.gw.data() + o * layer.in;
-        for (std::size_t n = n0; n < n0 + tn; ++n) {
-          const float g = grad[n * layer.out + o];
-          if (g == 0.0f) continue;
-          const float* xr = sparse ? row_ptr(n) : x_base + n * layer.in;
-          if (sparse) {
-            for (std::uint32_t j = x_nz_off[n]; j < x_nz_off[n + 1]; ++j) {
-              const std::uint32_t i = x_nz[j];
-              gw_row[i] += g * xr[i];
-            }
-          } else {
-            kernels_->axpy(g, xr, gw_row, layer.in);
-          }
-          layer.gb[o] += g;
-        }
-      }
+    // Pass 1 — weight/bias gradients, rows ascending per element, matching
+    // row-by-row backward(). Hidden layers run the register-blocked kernel
+    // over row tiles, so the x tile stays L1-resident while each gw row
+    // streams through once per tile.
+    if (l == 0) {
+      backward_first_layer(ws, grad.data());
+    } else {
+      const float* x = ws.post[l - 1].data();
+      for (std::size_t n0 = 0; n0 < rows; n0 += kTile)
+        kernels_->grad_weights(grad.data() + n0 * layer.out, x + n0 * layer.in,
+                               std::min(kTile, rows - n0), layer.in, layer.out,
+                               layer.gw.data(), layer.gb.data());
     }
 
     // Pass 2 — input gradients, chained through the previous layer's tanh.
@@ -238,39 +217,53 @@ void Mlp::backward_batch_impl(RowPtrFn row_ptr, const BatchWorkspace& ws,
     // like backward(). The first layer has no upstream to feed, so the pass
     // is skipped there (backward() computes and discards it).
     if (l > 0) {
-      prev_grad.assign(rows * layer.in, 0.0f);
-      const float* post = ws.post[l - 1].data();
-      for (std::size_t n = 0; n < rows; ++n) {
-        float* pg = prev_grad.data() + n * layer.in;
-        for (std::size_t o = 0; o < layer.out; ++o) {
-          const float g = grad[n * layer.out + o];
-          if (g == 0.0f) continue;
-          kernels_->axpy(g, layer.w.data() + o * layer.in, pg, layer.in);
-        }
-        const float* pr = post + n * layer.in;
-        for (std::size_t i = 0; i < layer.in; ++i)
-          pg[i] *= 1.0f - pr[i] * pr[i];
-      }
+      prev_grad.resize(rows * layer.in);
+      kernels_->grad_inputs(grad.data(), layer.w.data(), rows, layer.in, layer.out,
+                            ws.post[l - 1].data(), prev_grad.data());
       grad = std::move(prev_grad);
-      prev_grad.clear();
+      prev_grad = {};
     }
   }
 }
 
-void Mlp::backward_batch(std::span<const float> input, const BatchWorkspace& ws,
-                         std::span<const float> output_grads) {
-  DETERRENT_ASSERT(input.size() == ws.rows * input_size(),
-                   "Mlp::backward_batch input size mismatch");
-  const std::size_t in = input_size();
-  const float* base = input.data();
-  backward_batch_impl([base, in](std::size_t n) { return base + n * in; }, ws,
-                      output_grads);
-}
-
-void Mlp::backward_batch(const float* const* row_ptrs, const BatchWorkspace& ws,
-                         std::span<const float> output_grads) {
-  backward_batch_impl([row_ptrs](std::size_t n) { return row_ptrs[n]; }, ws,
-                      output_grads);
+void Mlp::backward_first_layer(const BatchWorkspace& ws, const float* grad) {
+  // The first layer sees the raw mostly-zero observations, so it only
+  // touches the nonzero columns forward_batch recorded per row. Skipping a
+  // zero column is exact: the term is g·(±0) = ±0, and adding a signed zero
+  // to a gradient accumulator never changes it — gw and gb start at +0
+  // (zero_grad) and IEEE round-to-nearest keeps zero sums at +0
+  // ((+0) + (−0) = +0; nonzero terms that cancel round to +0), so an
+  // accumulator never holds −0.0f for a signed zero to flip. By the same
+  // argument the kernel need not skip g == 0 terms the way backward() does.
+  //
+  // The touched columns are gathered into a transposed buffer, one row of
+  // `out` gradients per column, so each nonzero of a row updates all
+  // outputs with unit stride; rows still arrive in ascending order.
+  auto& layer = layers_.front();
+  const std::size_t in = layer.in;
+  const std::size_t out = layer.out;
+  std::vector<std::uint32_t> slot_of(in, 0);  // column → 1 + transposed row
+  std::vector<std::uint32_t> touched;         // column of each transposed row
+  std::vector<std::uint32_t> slots(ws.row_off.back());
+  for (std::size_t j = 0; j < slots.size(); ++j) {
+    const std::uint32_t i = ws.row_cols[j];
+    if (slot_of[i] == 0) {
+      touched.push_back(i);
+      slot_of[i] = static_cast<std::uint32_t>(touched.size());
+    }
+    slots[j] = slot_of[i] - 1;
+  }
+  std::vector<float> gwt(touched.size() * out);
+  for (std::size_t s = 0; s < touched.size(); ++s)
+    for (std::size_t o = 0; o < out; ++o) gwt[s * out + o] = layer.gw[o * in + touched[s]];
+  for (std::size_t n = 0; n < ws.rows; ++n) {
+    const std::uint32_t begin = ws.row_off[n];
+    kernels_->grad_weights_cols(grad + n * out, out, ws.row_vals.data() + begin,
+                                slots.data() + begin, ws.row_off[n + 1] - begin,
+                                gwt.data(), layer.gb.data());
+  }
+  for (std::size_t s = 0; s < touched.size(); ++s)
+    for (std::size_t o = 0; o < out; ++o) layer.gw[o * in + touched[s]] = gwt[s * out + o];
 }
 
 void Mlp::zero_grad() {

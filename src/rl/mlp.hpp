@@ -53,24 +53,33 @@ class Mlp {
   struct BatchWorkspace {
     std::size_t rows = 0;
     std::vector<std::vector<float>> post;  ///< per layer: rows × out, row-major
-    std::vector<float> scratch;            ///< transposed input tile
+    std::vector<float> scratch;            ///< transposed input + layer-output tiles
     std::vector<unsigned char> nz;         ///< layer-0 tile: column has a nonzero
     std::vector<std::uint32_t> cols;       ///< layer-0 tile: nonzero column list
+    /// Per input row, its nonzero columns (ascending) and their values:
+    /// row n owns [row_off[n], row_off[n+1]) (entries past row_off.back()
+    /// are stale). Recorded by forward_batch for backward_batch's
+    /// first-layer weight gradient.
+    std::vector<std::uint32_t> row_cols;
+    std::vector<float> row_vals;
+    std::vector<std::uint32_t> row_off;
   };
 
   /// Computes outputs for `rows` stacked observations (row-major, rows ×
   /// input_size) in one matrix–matrix pass. Row r of the returned rows ×
   /// output_size span is bit-identical to forward() on that row alone: every
-  /// output element is the same ascending-index accumulation chain, only the
-  /// loop nest is tiled so the weight matrix is streamed once per row tile
-  /// instead of once per row, and the inner products run on the widest
-  /// SIMD kernel backend the host supports (mlp_kernels.hpp — all backends
-  /// bit-identical, no FMA contraction). Input columns that are zero across
-  /// the whole tile are skipped in the first layer: each skipped term is a
-  /// signed zero added to an accumulator that can never hold -0.0f (biases
-  /// start at +0 and IEEE round-to-nearest addition of nonzero terms cannot
-  /// produce -0), so the skip is exact — and on this MDP's mostly-zero
-  /// indicator observations it removes most of the layer-0 work.
+  /// output element is the same ascending-index accumulation chain. Rows
+  /// run in tiles of kernels::kMlpLanes, each tile through every layer in
+  /// turn, so a weight matrix streams once per tile instead of once per
+  /// row. The kernels (mlp_kernels.hpp, widest backend the host supports;
+  /// all backends bit-identical, no FMA contraction) keep several outputs'
+  /// add chains in flight per load of the input tile, and the hidden tanh
+  /// runs vectorized, bit-exact to fdlibm's tanhf. Input columns that are
+  /// zero across the whole tile are skipped in the first layer: each skipped
+  /// term is a signed zero added to an accumulator that can never hold -0.0f
+  /// (biases start at +0 and IEEE round-to-nearest addition of nonzero terms
+  /// cannot produce -0), so the skip is exact — and on this MDP's
+  /// mostly-zero indicator observations it removes most of the layer-0 work.
   /// Thread-safe.
   std::span<const float> forward_batch(std::span<const float> input,
                                        std::size_t rows, BatchWorkspace& ws) const;
@@ -84,23 +93,19 @@ class Mlp {
                                        std::size_t rows, BatchWorkspace& ws) const;
 
   /// Batch counterpart of backward(): accumulates parameter gradients for the
-  /// row-major rows × output_grads given the workspace and input of the
-  /// matching forward_batch(). Two exact passes per layer: weight/bias
-  /// gradients (rows ascending per parameter element, matching row-by-row
-  /// backward()), then the input gradients (terms ascending in output index
-  /// per element, also matching) — skipped entirely for the first layer,
-  /// where backward() computes and discards them. The first layer's
-  /// weight-gradient pass walks per-row nonzero column lists of the
+  /// row-major rows × output_grads, given the workspace of the matching
+  /// forward_batch(), which holds the activations and each input row's
+  /// nonzeros. Two exact passes per layer: weight/bias gradients (rows
+  /// ascending per parameter element, matching row-by-row backward()), then
+  /// the input gradients (terms ascending in output index per element, also
+  /// matching) — skipped entirely for the first layer, where backward()
+  /// computes and discards them. Both run register-blocked kernels that keep
+  /// a block of accumulators in registers across rows (or outputs). The first
+  /// layer's weight-gradient pass walks the per-row nonzero columns of the
   /// mostly-zero observations; skipping a g·(±0) term is exact because a
   /// gradient accumulator never holds −0.0f (it starts at +0 and
   /// round-to-nearest keeps every zero-valued sum at +0).
-  void backward_batch(std::span<const float> input, const BatchWorkspace& ws,
-                      std::span<const float> output_grads);
-
-  /// Row-pointer variant of backward_batch(); pass the same row pointers as
-  /// the matching forward_batch() call.
-  void backward_batch(const float* const* row_ptrs, const BatchWorkspace& ws,
-                      std::span<const float> output_grads);
+  void backward_batch(const BatchWorkspace& ws, std::span<const float> output_grads);
 
   void zero_grad();
 
@@ -124,14 +129,13 @@ class Mlp {
   void set_flat_params(std::span<const float> flat);
 
  private:
-  /// Shared implementations of the batched passes over a row accessor
-  /// (contiguous span or scattered row pointers); instantiated in mlp.cpp.
+  /// Shared implementation of forward_batch over a row accessor (contiguous
+  /// span or scattered row pointers); instantiated in mlp.cpp.
   template <typename RowPtrFn>
   std::span<const float> forward_batch_impl(RowPtrFn row_ptr, std::size_t rows,
                                             BatchWorkspace& ws) const;
-  template <typename RowPtrFn>
-  void backward_batch_impl(RowPtrFn row_ptr, const BatchWorkspace& ws,
-                           std::span<const float> output_grads);
+  /// Layer-0 weight/bias gradients of backward_batch (sparse observations).
+  void backward_first_layer(const BatchWorkspace& ws, const float* grad);
 
   struct Layer {
     std::size_t in = 0;

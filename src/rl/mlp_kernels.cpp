@@ -1,7 +1,10 @@
-// Scalar MLP batch kernels + backend dispatch. The wide backends live in
-// their own ISA-flagged TUs (mlp_kernels_avx2.cpp, mlp_kernels_avx512.cpp);
-// this TU is compiled with base flags only, so the scalar loops here round
-// exactly like rl::Mlp's per-sample loops on the same host.
+// Base-flags MLP kernels (the Scalar table) + backend dispatch. The tanh,
+// forward, and backward kernels are the generic ones of mlp_kernels_impl.hpp
+// at the base ISA's 128-bit vectors (SSE2 on x86-64, NEON on aarch64); the
+// wide backends instantiate the same source in their own ISA-flagged TUs
+// (mlp_kernels_avx2.cpp, mlp_kernels_avx512.cpp). Like them, this TU is
+// compiled with -ffp-contract=off (CMakeLists.txt), so an FMA-capable base
+// ISA cannot fuse a multiply-add either.
 #include "rl/mlp_kernels.hpp"
 
 #include <cmath>
@@ -9,36 +12,14 @@
 #include <string>
 #include <string_view>
 
+#include "rl/mlp_kernels_impl.hpp"
 #include "util/assert.hpp"
 
 namespace deterrent::rl::kernels {
 
 namespace {
 
-void matvec_cols_scalar(const float* w, const float* xt, const std::uint32_t* cols,
-                        std::size_t n_cols, float bias, float* acc) {
-  for (std::size_t n = 0; n < kMlpLanes; ++n) acc[n] = bias;
-  for (std::size_t j = 0; j < n_cols; ++j) {
-    const std::size_t i = cols[j];
-    const float wv = w[i];
-    const float* xr = xt + i * kMlpLanes;
-    for (std::size_t n = 0; n < kMlpLanes; ++n) acc[n] += wv * xr[n];
-  }
-}
-
-void matvec_dense_scalar(const float* w, const float* xt, std::size_t in,
-                         float bias, float* acc) {
-  for (std::size_t n = 0; n < kMlpLanes; ++n) acc[n] = bias;
-  for (std::size_t i = 0; i < in; ++i) {
-    const float wv = w[i];
-    const float* xr = xt + i * kMlpLanes;
-    for (std::size_t n = 0; n < kMlpLanes; ++n) acc[n] += wv * xr[n];
-  }
-}
-
-void axpy_scalar(float g, const float* x, float* acc, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) acc[i] += g * x[i];
-}
+using Base = Lanes<4>;
 
 void adam_step_scalar(float* values, float* m, float* v, const float* grads,
                       std::size_t n, const MlpKernelTable::AdamArgs& a) {
@@ -52,9 +33,15 @@ void adam_step_scalar(float* values, float* m, float* v, const float* grads,
   }
 }
 
-constinit const MlpKernelTable kScalarTable{
-    MlpIsa::Scalar,      "scalar",     &matvec_cols_scalar,
-    &matvec_dense_scalar, &axpy_scalar, &adam_step_scalar};
+constinit const MlpKernelTable kScalarTable{MlpIsa::Scalar,
+                                            "scalar",
+                                            &tanh_kernel<Base>,
+                                            &forward_tile_kernel<Base>,
+                                            &tile_to_rows_kernel<Base>,
+                                            &grad_weights_kernel<Base>,
+                                            &grad_weights_cols_kernel<Base>,
+                                            &grad_inputs_kernel<Base>,
+                                            &adam_step_scalar};
 
 const MlpKernelTable* table_or_null(MlpIsa isa) {
   switch (isa) {

@@ -1,55 +1,21 @@
-// AVX2 MLP batch kernels: 8-float registers, two per 16-lane tile. Compiled
-// with -mavx2 -ffp-contract=off (see CMakeLists.txt) — AVX2 alone enables no
-// FMA instructions and contraction is off for the scalar tails, so every
-// multiply and add rounds separately, exactly like the scalar table. When
-// the flag is unavailable the TU degrades to a nullptr factory.
+// AVX2 MLP batch kernels: the generic kernels of mlp_kernels_impl.hpp on
+// 8-float registers (two per 16-lane tile), plus a hand-written Adam step.
+// Compiled with -mavx2 -ffp-contract=off (see CMakeLists.txt) — AVX2 alone
+// enables no FMA instructions and contraction is off for the scalar tails, so
+// every multiply and add rounds separately, exactly like the scalar table.
+// When the flag is unavailable the TU degrades to a nullptr factory.
 #include "rl/mlp_kernel_table.hpp"
 
 #if defined(__AVX2__)
 
 #include <immintrin.h>
 
+#include "rl/mlp_kernels_impl.hpp"
+
 namespace deterrent::rl::kernels {
 namespace {
 
-void matvec_cols_avx2(const float* w, const float* xt, const std::uint32_t* cols,
-                      std::size_t n_cols, float bias, float* acc) {
-  __m256 a0 = _mm256_set1_ps(bias);
-  __m256 a1 = a0;
-  for (std::size_t j = 0; j < n_cols; ++j) {
-    const std::size_t i = cols[j];
-    const __m256 wv = _mm256_set1_ps(w[i]);
-    const float* xr = xt + i * kMlpLanes;
-    a0 = _mm256_add_ps(a0, _mm256_mul_ps(wv, _mm256_loadu_ps(xr)));
-    a1 = _mm256_add_ps(a1, _mm256_mul_ps(wv, _mm256_loadu_ps(xr + 8)));
-  }
-  _mm256_storeu_ps(acc, a0);
-  _mm256_storeu_ps(acc + 8, a1);
-}
-
-void matvec_dense_avx2(const float* w, const float* xt, std::size_t in,
-                       float bias, float* acc) {
-  __m256 a0 = _mm256_set1_ps(bias);
-  __m256 a1 = a0;
-  for (std::size_t i = 0; i < in; ++i) {
-    const __m256 wv = _mm256_set1_ps(w[i]);
-    const float* xr = xt + i * kMlpLanes;
-    a0 = _mm256_add_ps(a0, _mm256_mul_ps(wv, _mm256_loadu_ps(xr)));
-    a1 = _mm256_add_ps(a1, _mm256_mul_ps(wv, _mm256_loadu_ps(xr + 8)));
-  }
-  _mm256_storeu_ps(acc, a0);
-  _mm256_storeu_ps(acc + 8, a1);
-}
-
-void axpy_avx2(float g, const float* x, float* acc, std::size_t n) {
-  const __m256 gv = _mm256_set1_ps(g);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 prod = _mm256_mul_ps(gv, _mm256_loadu_ps(x + i));
-    _mm256_storeu_ps(acc + i, _mm256_add_ps(_mm256_loadu_ps(acc + i), prod));
-  }
-  for (; i < n; ++i) acc[i] += g * x[i];
-}
+using Wide = Lanes<8>;
 
 // lr·(m/bias1) / (sqrt(v/bias2) + eps) for one 4-double half of a ymm of
 // moments. div, sqrt, and the float↔double conversions are all correctly
@@ -105,8 +71,14 @@ void adam_step_avx2(float* values, float* m, float* v, const float* grads,
 
 // constinit: the factory runs on every host during backend detection, so
 // this -mavx2 TU must emit no initialization code.
-constinit const MlpKernelTable kTable{MlpIsa::Avx2, "avx2", &matvec_cols_avx2,
-                                      &matvec_dense_avx2, &axpy_avx2,
+constinit const MlpKernelTable kTable{MlpIsa::Avx2,
+                                      "avx2",
+                                      &tanh_kernel<Wide>,
+                                      &forward_tile_kernel<Wide>,
+                                      &tile_to_rows_kernel<Wide>,
+                                      &grad_weights_kernel<Wide>,
+                                      &grad_weights_cols_kernel<Wide>,
+                                      &grad_inputs_kernel<Wide>,
                                       &adam_step_avx2};
 
 }  // namespace

@@ -1,50 +1,21 @@
-// AVX-512 MLP batch kernels: one 16-float register is exactly one batch
-// tile. Compiled with -mavx512f -ffp-contract=off (see CMakeLists.txt):
+// AVX-512 MLP batch kernels: the generic kernels of mlp_kernels_impl.hpp on
+// 16-float registers (one zmm is exactly one batch tile), plus a hand-written
+// Adam step. Compiled with -mavx512f -ffp-contract=off (see CMakeLists.txt):
 // AVX-512F includes FMA encodings, so contraction MUST be off — every
-// multiply and add here rounds separately via explicit mul/add intrinsics,
-// bit-identical to the scalar table. When the flag is unavailable the TU
-// degrades to a nullptr factory.
+// multiply and add rounds separately, bit-identical to the scalar table.
+// When the flag is unavailable the TU degrades to a nullptr factory.
 #include "rl/mlp_kernel_table.hpp"
 
 #if defined(__AVX512F__)
 
 #include <immintrin.h>
 
+#include "rl/mlp_kernels_impl.hpp"
+
 namespace deterrent::rl::kernels {
 namespace {
 
-static_assert(kMlpLanes == 16, "AVX-512 kernels assume one zmm per tile");
-
-void matvec_cols_avx512(const float* w, const float* xt, const std::uint32_t* cols,
-                        std::size_t n_cols, float bias, float* acc) {
-  __m512 a = _mm512_set1_ps(bias);
-  for (std::size_t j = 0; j < n_cols; ++j) {
-    const std::size_t i = cols[j];
-    const __m512 wv = _mm512_set1_ps(w[i]);
-    a = _mm512_add_ps(a, _mm512_mul_ps(wv, _mm512_loadu_ps(xt + i * kMlpLanes)));
-  }
-  _mm512_storeu_ps(acc, a);
-}
-
-void matvec_dense_avx512(const float* w, const float* xt, std::size_t in,
-                         float bias, float* acc) {
-  __m512 a = _mm512_set1_ps(bias);
-  for (std::size_t i = 0; i < in; ++i) {
-    const __m512 wv = _mm512_set1_ps(w[i]);
-    a = _mm512_add_ps(a, _mm512_mul_ps(wv, _mm512_loadu_ps(xt + i * kMlpLanes)));
-  }
-  _mm512_storeu_ps(acc, a);
-}
-
-void axpy_avx512(float g, const float* x, float* acc, std::size_t n) {
-  const __m512 gv = _mm512_set1_ps(g);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512 prod = _mm512_mul_ps(gv, _mm512_loadu_ps(x + i));
-    _mm512_storeu_ps(acc + i, _mm512_add_ps(_mm512_loadu_ps(acc + i), prod));
-  }
-  for (; i < n; ++i) acc[i] += g * x[i];
-}
+using Wide = Lanes<16>;
 
 // GCC 12 flags the undefined merge operand inside the masked
 // _mm512_cvtps_pd / _mm512_sqrt_pd header implementations (PR105593);
@@ -106,9 +77,15 @@ void adam_step_avx512(float* values, float* m, float* v, const float* grads,
 
 // constinit: the factory runs on every host during backend detection, so
 // this -mavx512f TU must emit no initialization code.
-constinit const MlpKernelTable kTable{MlpIsa::Avx512, "avx512",
-                                      &matvec_cols_avx512, &matvec_dense_avx512,
-                                      &axpy_avx512, &adam_step_avx512};
+constinit const MlpKernelTable kTable{MlpIsa::Avx512,
+                                      "avx512",
+                                      &tanh_kernel<Wide>,
+                                      &forward_tile_kernel<Wide>,
+                                      &tile_to_rows_kernel<Wide>,
+                                      &grad_weights_kernel<Wide>,
+                                      &grad_weights_cols_kernel<Wide>,
+                                      &grad_inputs_kernel<Wide>,
+                                      &adam_step_avx512};
 
 }  // namespace
 

@@ -324,8 +324,8 @@ PpoUpdateStats PpoTrainer::update() {
 
         ++loss_samples;
       }
-      policy_.backward_batch(row_ptrs.data(), policy_bws, batch_pol_grad);
-      value_.backward_batch(row_ptrs.data(), value_bws, batch_val_grad);
+      policy_.backward_batch(policy_bws, batch_pol_grad);
+      value_.backward_batch(value_bws, batch_val_grad);
       policy_opt_.step(config_.max_grad_norm);
       value_opt_.step(config_.max_grad_norm);
     }

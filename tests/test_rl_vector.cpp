@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -47,71 +49,120 @@ std::vector<float> random_input(std::size_t n, util::Rng& rng) {
   return v;
 }
 
-TEST(MlpBatch, ForwardBatchMatchesPerRowBitIdentically) {
-  const std::vector<std::vector<std::size_t>> shapes = {
-      {3, 8, 2}, {5, 16, 16, 4}, {17, 32, 9}, {1, 4, 1}};
-  for (const auto& shape : shapes) {
-    util::Rng init(shape[0] * 131 + shape.back());
-    Mlp net(shape, init);
-    // Rows straddle the internal tile width (16): partial, exact, and
-    // multi-tile-plus-remainder batches.
-    for (const std::size_t rows : {1u, 5u, 16u, 17u, 33u, 64u}) {
-      util::Rng data(rows * 977 + 5);
-      const std::vector<float> input = random_input(rows * shape.front(), data);
-      Mlp::BatchWorkspace bws;
-      const auto batch_out = net.forward_batch(input, rows, bws);
-      ASSERT_EQ(batch_out.size(), rows * shape.back());
+/// Runs body(isa) once per MLP kernel backend the host supports, with
+/// DETERRENT_FORCE_ISA pinning that backend for every Mlp built inside, and
+/// restores the variable afterwards.
+template <class Body>
+void for_each_mlp_backend(Body&& body) {
+  const char* saved = std::getenv("DETERRENT_FORCE_ISA");
+  const std::string saved_value = saved ? saved : "";
+  for (const auto isa : rl::kernels::supported_mlp_isas()) {
+    ::setenv("DETERRENT_FORCE_ISA", rl::kernels::to_string(isa), 1);
+    body(isa);
+  }
+  if (saved)
+    ::setenv("DETERRENT_FORCE_ISA", saved_value.c_str(), 1);
+  else
+    ::unsetenv("DETERRENT_FORCE_ISA");
+}
 
-      Mlp::Workspace ws;
-      for (std::size_t r = 0; r < rows; ++r) {
-        const auto row_out = net.forward(
-            std::span<const float>(input).subspan(r * shape.front(), shape.front()),
-            ws);
-        for (std::size_t o = 0; o < shape.back(); ++o)
-          ASSERT_EQ(batch_out[r * shape.back() + o], row_out[o])
-              << "rows=" << rows << " r=" << r << " o=" << o;
+/// Shapes whose sizes reach every tail of the register-blocked kernels:
+/// outputs 1, 5 and 66 are no multiple of any backend's output block (2, 4
+/// or 8) or register width, inputs 19, 37, 66 and 70 no multiple of 16.
+const std::vector<std::vector<std::size_t>>& ragged_shapes() {
+  static const std::vector<std::vector<std::size_t>> shapes = {
+      {19, 66, 5, 1}, {70, 5, 66}, {37, 66, 66, 5}};
+  return shapes;
+}
+
+/// Zeroes rows [16, 32) — the whole second row tile — so the first layer's
+/// nonzero-column list for that tile is empty.
+void zero_second_tile(std::vector<float>& input, std::size_t rows, std::size_t in) {
+  for (std::size_t r = 16; r < std::min<std::size_t>(rows, 32); ++r)
+    std::fill_n(input.begin() + static_cast<std::ptrdiff_t>(r * in), in, 0.0f);
+}
+
+TEST(MlpBatch, ForwardBatchMatchesPerRowBitIdentically) {
+  std::vector<std::vector<std::size_t>> shapes = {
+      {3, 8, 2}, {5, 16, 16, 4}, {17, 32, 9}, {1, 4, 1}};
+  shapes.insert(shapes.end(), ragged_shapes().begin(), ragged_shapes().end());
+  for_each_mlp_backend([&](rl::kernels::MlpIsa isa) {
+    for (const auto& shape : shapes) {
+      util::Rng init(shape[0] * 131 + shape.back());
+      Mlp net(shape, init);
+      // Rows straddle the internal tile width (16): partial, exact, and
+      // multi-tile-plus-remainder batches; 33 and 40 also carry an all-zero
+      // tile (empty layer-0 column list).
+      for (const std::size_t rows : {1u, 5u, 16u, 17u, 33u, 40u, 64u}) {
+        util::Rng data(rows * 977 + 5);
+        std::vector<float> input = random_input(rows * shape.front(), data);
+        if (rows == 33 || rows == 40) zero_second_tile(input, rows, shape.front());
+        Mlp::BatchWorkspace bws;
+        const auto batch_out = net.forward_batch(input, rows, bws);
+        ASSERT_EQ(batch_out.size(), rows * shape.back());
+
+        Mlp::Workspace ws;
+        for (std::size_t r = 0; r < rows; ++r) {
+          const auto row_out = net.forward(
+              std::span<const float>(input).subspan(r * shape.front(), shape.front()),
+              ws);
+          for (std::size_t o = 0; o < shape.back(); ++o)
+            ASSERT_EQ(batch_out[r * shape.back() + o], row_out[o])
+                << rl::kernels::to_string(isa) << " shape[0]=" << shape[0]
+                << " rows=" << rows << " r=" << r << " o=" << o;
+        }
       }
     }
-  }
+  });
 }
 
 TEST(MlpBatch, BackwardBatchMatchesPerRowAccumulationBitIdentically) {
-  const std::vector<std::size_t> shape{7, 24, 24, 5};
-  util::Rng init(42);
-  Mlp batch_net(shape, init);
-  Mlp row_net(shape, init);
-  row_net.copy_params_from(batch_net);
+  std::vector<std::vector<std::size_t>> shapes = {{7, 24, 24, 5}};
+  shapes.insert(shapes.end(), ragged_shapes().begin(), ragged_shapes().end());
+  for_each_mlp_backend([&](rl::kernels::MlpIsa isa) {
+    for (const auto& shape : shapes) {
+      util::Rng init(42);
+      Mlp batch_net(shape, init);
+      Mlp row_net(shape, init);
+      row_net.copy_params_from(batch_net);
 
-  for (const std::size_t rows : {1u, 16u, 33u}) {
-    util::Rng data(rows * 31 + 7);
-    const std::vector<float> input = random_input(rows * shape.front(), data);
-    std::vector<float> grads = random_input(rows * shape.back(), data);
-    // Exercise the exact-zero skip (backward treats g == 0 as "no update").
-    for (std::size_t i = 0; i < grads.size(); i += 3) grads[i] = 0.0f;
+      for (const std::size_t rows : {1u, 16u, 33u}) {
+        util::Rng data(rows * 31 + 7);
+        std::vector<float> input = random_input(rows * shape.front(), data);
+        for (std::size_t i = 0; i < input.size(); ++i)
+          if (data.below(10) < 5) input[i] = 0.0f;  // sparse layer-0 path
+        zero_second_tile(input, rows, shape.front());
+        std::vector<float> grads = random_input(rows * shape.back(), data);
+        // Exercise the exact-zero skip (backward treats g == 0 as "no update").
+        for (std::size_t i = 0; i < grads.size(); i += 3) grads[i] = 0.0f;
 
-    batch_net.zero_grad();
-    Mlp::BatchWorkspace bws;
-    batch_net.forward_batch(input, rows, bws);
-    batch_net.backward_batch(input, bws, grads);
+        batch_net.zero_grad();
+        Mlp::BatchWorkspace bws;
+        batch_net.forward_batch(input, rows, bws);
+        batch_net.backward_batch(bws, grads);
 
-    row_net.zero_grad();
-    Mlp::Workspace ws;
-    for (std::size_t r = 0; r < rows; ++r) {
-      const auto in =
-          std::span<const float>(input).subspan(r * shape.front(), shape.front());
-      row_net.forward(in, ws);
-      row_net.backward(
-          in, ws, std::span<const float>(grads).subspan(r * shape.back(), shape.back()));
+        row_net.zero_grad();
+        Mlp::Workspace ws;
+        for (std::size_t r = 0; r < rows; ++r) {
+          const auto in =
+              std::span<const float>(input).subspan(r * shape.front(), shape.front());
+          row_net.forward(in, ws);
+          row_net.backward(in, ws,
+                           std::span<const float>(grads).subspan(r * shape.back(),
+                                                                 shape.back()));
+        }
+
+        auto batch_params = batch_net.params();
+        auto row_params = row_net.params();
+        ASSERT_EQ(batch_params.size(), row_params.size());
+        for (std::size_t p = 0; p < batch_params.size(); ++p)
+          for (std::size_t i = 0; i < batch_params[p].size; ++i)
+            ASSERT_EQ(batch_params[p].grads[i], row_params[p].grads[i])
+                << rl::kernels::to_string(isa) << " shape[0]=" << shape[0]
+                << " rows=" << rows << " tensor=" << p << " elem=" << i;
+      }
     }
-
-    auto batch_params = batch_net.params();
-    auto row_params = row_net.params();
-    ASSERT_EQ(batch_params.size(), row_params.size());
-    for (std::size_t p = 0; p < batch_params.size(); ++p)
-      for (std::size_t i = 0; i < batch_params[p].size; ++i)
-        ASSERT_EQ(batch_params[p].grads[i], row_params[p].grads[i])
-            << "rows=" << rows << " tensor=" << p << " elem=" << i;
-  }
+  });
 }
 
 // The row-pointer overloads feed scattered rows (the trainer passes shuffled
@@ -148,8 +199,8 @@ TEST(MlpBatch, RowPointerOverloadsMatchContiguousBitIdentically) {
 
     span_net.zero_grad();
     ptr_net.zero_grad();
-    span_net.backward_batch(input, span_ws, grads);
-    ptr_net.backward_batch(row_ptrs.data(), ptr_ws, grads);
+    span_net.backward_batch(span_ws, grads);
+    ptr_net.backward_batch(ptr_ws, grads);
     auto span_params = span_net.params();
     auto ptr_params = ptr_net.params();
     for (std::size_t p = 0; p < span_params.size(); ++p)
@@ -164,69 +215,156 @@ TEST(MlpBatch, RowPointerOverloadsMatchContiguousBitIdentically) {
 // checkpoint (and the bench checksums) move freely between hosts. The
 // backend is chosen at Mlp construction from DETERRENT_FORCE_ISA, so the
 // sweep builds one network per backend from the same init stream. Inputs are
-// ~70% exact zeros to exercise the sparse layer-0 column-skip path.
+// ~70% exact zeros to exercise the sparse layer-0 column-skip path, the
+// second row tile is all zeros (empty layer-0 column list), and the ragged
+// shapes reach every output-block, register and row-tile tail.
 TEST(MlpBatch, AllKernelBackendsAreBitIdenticalToScalar) {
   const auto isas = rl::kernels::supported_mlp_isas();
   ASSERT_FALSE(isas.empty());
   ASSERT_EQ(isas.front(), rl::kernels::MlpIsa::Scalar);
 
-  const std::vector<std::size_t> shape{19, 32, 32, 6};
-  const std::size_t rows = 33;  // two full tiles plus a remainder
-  util::Rng data(2026);
-  std::vector<float> input = random_input(rows * shape.front(), data);
-  for (std::size_t i = 0; i < input.size(); ++i)
-    if (data.below(10) < 7) input[i] = 0.0f;
-  std::vector<float> grads = random_input(rows * shape.back(), data);
-  for (std::size_t i = 0; i < grads.size(); i += 3) grads[i] = 0.0f;
+  std::vector<std::vector<std::size_t>> shapes = {{19, 32, 32, 6}};
+  shapes.insert(shapes.end(), ragged_shapes().begin(), ragged_shapes().end());
+  for (const auto& shape : shapes) {
+    for (const std::size_t rows : {7u, 33u}) {  // a partial tile; two tiles + 1
+      util::Rng data(2026 + rows);
+      std::vector<float> input = random_input(rows * shape.front(), data);
+      for (std::size_t i = 0; i < input.size(); ++i)
+        if (data.below(10) < 7) input[i] = 0.0f;
+      zero_second_tile(input, rows, shape.front());
+      std::vector<float> grads = random_input(rows * shape.back(), data);
+      for (std::size_t i = 0; i < grads.size(); i += 3) grads[i] = 0.0f;
 
-  const char* saved = std::getenv("DETERRENT_FORCE_ISA");
-  const std::string saved_value = saved ? saved : "";
+      std::vector<float> ref_out, ref_grads, ref_params;
+      for_each_mlp_backend([&](rl::kernels::MlpIsa isa) {
+        util::Rng init(7);
+        Mlp net(shape, init);
 
-  std::vector<float> ref_out, ref_grads, ref_params;
-  for (const auto isa : isas) {
-    ::setenv("DETERRENT_FORCE_ISA", rl::kernels::to_string(isa), 1);
-    util::Rng init(7);
-    Mlp net(shape, init);
+        Mlp::BatchWorkspace bws;
+        const auto out = net.forward_batch(input, rows, bws);
+        net.zero_grad();
+        net.backward_batch(bws, grads);
+        std::vector<float> flat_grads;
+        for (const auto& p : net.params())
+          flat_grads.insert(flat_grads.end(), p.grads, p.grads + p.size);
 
-    Mlp::BatchWorkspace bws;
-    const auto out = net.forward_batch(input, rows, bws);
-    net.zero_grad();
-    net.backward_batch(input, bws, grads);
-    std::vector<float> flat_grads;
-    for (const auto& p : net.params())
-      flat_grads.insert(flat_grads.end(), p.grads, p.grads + p.size);
+        // The Adam elementwise update dispatches to the same backend table;
+        // two clipped steps cover the scale path and a bias-correction change.
+        rl::Adam opt(net.params());
+        opt.step(0.5f);
+        opt.step(0.5f);
+        const std::vector<float> stepped = net.flat_params();
 
-    // The Adam elementwise update dispatches to the same backend table; two
-    // clipped steps cover the scale path and a bias-correction change.
-    rl::Adam opt(net.params());
-    opt.step(0.5f);
-    opt.step(0.5f);
-    const std::vector<float> stepped = net.flat_params();
-
-    if (isa == rl::kernels::MlpIsa::Scalar) {
-      ref_out.assign(out.begin(), out.end());
-      ref_grads = std::move(flat_grads);
-      ref_params = stepped;
-      continue;
+        if (isa == rl::kernels::MlpIsa::Scalar) {
+          ref_out.assign(out.begin(), out.end());
+          ref_grads = std::move(flat_grads);
+          ref_params = stepped;
+          return;
+        }
+        const std::string where = std::string(rl::kernels::to_string(isa)) +
+                                  " shape[0]=" + std::to_string(shape[0]) +
+                                  " rows=" + std::to_string(rows);
+        ASSERT_EQ(out.size(), ref_out.size());
+        for (std::size_t i = 0; i < out.size(); ++i)
+          ASSERT_EQ(out[i], ref_out[i]) << where << " forward elem " << i;
+        ASSERT_EQ(flat_grads.size(), ref_grads.size());
+        for (std::size_t i = 0; i < flat_grads.size(); ++i)
+          ASSERT_EQ(flat_grads[i], ref_grads[i]) << where << " grad elem " << i;
+        ASSERT_EQ(stepped.size(), ref_params.size());
+        for (std::size_t i = 0; i < stepped.size(); ++i)
+          ASSERT_EQ(stepped[i], ref_params[i]) << where << " adam-stepped param " << i;
+      });
     }
-    ASSERT_EQ(out.size(), ref_out.size());
-    for (std::size_t i = 0; i < out.size(); ++i)
-      ASSERT_EQ(out[i], ref_out[i])
-          << rl::kernels::to_string(isa) << " forward elem " << i;
-    ASSERT_EQ(flat_grads.size(), ref_grads.size());
-    for (std::size_t i = 0; i < flat_grads.size(); ++i)
-      ASSERT_EQ(flat_grads[i], ref_grads[i])
-          << rl::kernels::to_string(isa) << " grad elem " << i;
-    ASSERT_EQ(stepped.size(), ref_params.size());
-    for (std::size_t i = 0; i < stepped.size(); ++i)
-      ASSERT_EQ(stepped[i], ref_params[i])
-          << rl::kernels::to_string(isa) << " adam-stepped param " << i;
   }
+}
 
-  if (saved)
-    ::setenv("DETERRENT_FORCE_ISA", saved_value.c_str(), 1);
-  else
-    ::unsetenv("DETERRENT_FORCE_ISA");
+// ------------------------------------------------------------- MLP tanh ---
+
+std::uint32_t float_bits(float x) {
+  std::uint32_t u = 0;
+  std::memcpy(&u, &x, sizeof u);
+  return u;
+}
+
+float bits_float(std::uint32_t u) {
+  float x = 0.0f;
+  std::memcpy(&x, &u, sizeof x);
+  return x;
+}
+
+/// Inputs for the tanh checks: a strided sweep over all 2^32 bit patterns,
+/// plus ±4 ulps around every branch boundary of fdlibm's tanhf and of the
+/// expm1f paths it reaches, with both signs, and the special values.
+std::vector<float> tanh_probe_inputs() {
+  std::vector<std::uint32_t> bits;
+  for (std::uint64_t u = 0; u < (1ULL << 32); u += 8191)
+    bits.push_back(static_cast<std::uint32_t>(u));
+
+  // |x| thresholds of tanhf itself: 2^-55, 1, 22, +inf.
+  std::vector<std::uint32_t> edges = {0x24000000u, 0x3f800000u, 0x41b00000u, 0x7f800000u};
+  // expm1f runs on 2|x| or -2|x|, so its |arg| thresholds (ln2/2, 1.5 ln2,
+  // 2^-25, 27 ln2, 88.72) sit at half those values in x ...
+  for (const std::uint32_t arg : {0x3eb17218u, 0x3f851592u, 0x33000000u, 0x4195b844u,
+                                  0x42b17218u})
+    edges.push_back(float_bits(bits_float(arg) / 2.0f));
+  // ... and its reduction k = trunc(arg/ln2 ± 1/2) switches formula at
+  // k = 1|2, 22|23 and 56|57: |x| = (k - 1/2)·ln2/2.
+  for (const double k : {2.0, 23.0, 57.0})
+    edges.push_back(float_bits(static_cast<float>((k - 0.5) * 0.6931471805599453 / 2.0)));
+  for (const std::uint32_t edge : edges)
+    for (std::uint32_t d = 0; d <= 8; ++d) bits.push_back(edge - 4 + d);
+
+  // ±0, subnormals, the normal/subnormal border, and the largest finite.
+  for (const std::uint32_t u : {0x00000000u, 0x00000001u, 0x00000002u, 0x00400000u,
+                                0x007fffffu, 0x00800000u, 0x7f7fffffu})
+    bits.push_back(u);
+  // NaNs: quiet, signaling, payloads.
+  for (const std::uint32_t u : {0x7fc00000u, 0x7f800001u, 0x7fa00000u, 0x7fffffffu})
+    bits.push_back(u);
+
+  std::vector<float> inputs;
+  inputs.reserve(2 * bits.size());
+  for (const std::uint32_t u : bits) {
+    inputs.push_back(bits_float(u & 0x7fffffffu));
+    inputs.push_back(bits_float(u | 0x80000000u));
+  }
+  return inputs;
+}
+
+// Every backend's vectorized tanh equals the scalar fdlibm port bit for bit,
+// on the probe set and at every vector-tail length.
+TEST(MlpTanh, EveryBackendMatchesScalarPort) {
+  const std::vector<float> inputs = tanh_probe_inputs();
+  for (const auto isa : rl::kernels::supported_mlp_isas()) {
+    const auto& table = rl::kernels::mlp_kernel_table(isa);
+    std::vector<float> out(inputs.size());
+    table.tanh(inputs.data(), out.data(), inputs.size());
+    for (std::size_t i = 0; i < inputs.size(); ++i)
+      ASSERT_EQ(float_bits(out[i]), float_bits(rl::kernels::tanh_fdlibm(inputs[i])))
+          << table.name << " x bits 0x" << std::hex << float_bits(inputs[i]);
+    // Lengths 0..40 end in every possible partial vector; in place too.
+    for (std::size_t n = 0; n <= 40; ++n) {
+      std::vector<float> buf(inputs.begin() + 1000,
+                             inputs.begin() + 1000 + static_cast<std::ptrdiff_t>(n));
+      table.tanh(buf.data(), buf.data(), n);
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(float_bits(buf[i]), float_bits(rl::kernels::tanh_fdlibm(inputs[1000 + i])))
+            << table.name << " n=" << n << " i=" << i;
+    }
+  }
+}
+
+// The port reproduces the host's tanhf where that is fdlibm's code: glibc up
+// to 2.40 (2.41 replaced tanhf with a correctly rounded implementation).
+// bench/tanh_sweep checks all 2^32 inputs in CI.
+TEST(MlpTanh, ScalarPortMatchesGlibcTanhf) {
+#if defined(__GLIBC__) && (__GLIBC__ == 2 && __GLIBC_MINOR__ <= 40)
+  for (const float x : tanh_probe_inputs())
+    ASSERT_EQ(float_bits(rl::kernels::tanh_fdlibm(x)), float_bits(std::tanh(x)))
+        << "x bits 0x" << std::hex << float_bits(x);
+#else
+  GTEST_SKIP() << "host libm's tanhf is not fdlibm's";
+#endif
 }
 
 // ----------------------------------------------------------- toy WalkEnv ---
