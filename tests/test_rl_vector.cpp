@@ -126,40 +126,47 @@ TEST(MlpBatch, BackwardBatchMatchesPerRowAccumulationBitIdentically) {
       Mlp row_net(shape, init);
       row_net.copy_params_from(batch_net);
 
-      for (const std::size_t rows : {1u, 16u, 33u}) {
-        util::Rng data(rows * 31 + 7);
-        std::vector<float> input = random_input(rows * shape.front(), data);
-        for (std::size_t i = 0; i < input.size(); ++i)
-          if (data.below(10) < 5) input[i] = 0.0f;  // sparse layer-0 path
-        zero_second_tile(input, rows, shape.front());
-        std::vector<float> grads = random_input(rows * shape.back(), data);
-        // Exercise the exact-zero skip (backward treats g == 0 as "no update").
-        for (std::size_t i = 0; i < grads.size(); i += 3) grads[i] = 0.0f;
+      for (const bool sparse : {false, true}) {
+        for (const std::size_t rows : {1u, 16u, 33u}) {
+          util::Rng data(rows * 31 + 7);
+          std::vector<float> input = random_input(rows * shape.front(), data);
+          // Dense inputs touch every layer-0 column; the sparse pass zeroes
+          // about half of them and the whole second tile (empty column list).
+          if (sparse) {
+            for (std::size_t i = 0; i < input.size(); ++i)
+              if (data.below(10) < 5) input[i] = 0.0f;
+            zero_second_tile(input, rows, shape.front());
+          }
+          std::vector<float> grads = random_input(rows * shape.back(), data);
+          // Exercise the exact-zero skip (backward treats g == 0 as "no update").
+          for (std::size_t i = 0; i < grads.size(); i += 3) grads[i] = 0.0f;
 
-        batch_net.zero_grad();
-        Mlp::BatchWorkspace bws;
-        batch_net.forward_batch(input, rows, bws);
-        batch_net.backward_batch(bws, grads);
+          batch_net.zero_grad();
+          Mlp::BatchWorkspace bws;
+          batch_net.forward_batch(input, rows, bws);
+          batch_net.backward_batch(bws, grads);
 
-        row_net.zero_grad();
-        Mlp::Workspace ws;
-        for (std::size_t r = 0; r < rows; ++r) {
-          const auto in =
-              std::span<const float>(input).subspan(r * shape.front(), shape.front());
-          row_net.forward(in, ws);
-          row_net.backward(in, ws,
-                           std::span<const float>(grads).subspan(r * shape.back(),
-                                                                 shape.back()));
+          row_net.zero_grad();
+          Mlp::Workspace ws;
+          for (std::size_t r = 0; r < rows; ++r) {
+            const auto in =
+                std::span<const float>(input).subspan(r * shape.front(), shape.front());
+            row_net.forward(in, ws);
+            row_net.backward(in, ws,
+                             std::span<const float>(grads).subspan(r * shape.back(),
+                                                                   shape.back()));
+          }
+
+          auto batch_params = batch_net.params();
+          auto row_params = row_net.params();
+          ASSERT_EQ(batch_params.size(), row_params.size());
+          for (std::size_t p = 0; p < batch_params.size(); ++p)
+            for (std::size_t i = 0; i < batch_params[p].size; ++i)
+              ASSERT_EQ(batch_params[p].grads[i], row_params[p].grads[i])
+                  << rl::kernels::to_string(isa) << " shape[0]=" << shape[0]
+                  << " sparse=" << sparse << " rows=" << rows << " tensor=" << p
+                  << " elem=" << i;
         }
-
-        auto batch_params = batch_net.params();
-        auto row_params = row_net.params();
-        ASSERT_EQ(batch_params.size(), row_params.size());
-        for (std::size_t p = 0; p < batch_params.size(); ++p)
-          for (std::size_t i = 0; i < batch_params[p].size; ++i)
-            ASSERT_EQ(batch_params[p].grads[i], row_params[p].grads[i])
-                << rl::kernels::to_string(isa) << " shape[0]=" << shape[0]
-                << " rows=" << rows << " tensor=" << p << " elem=" << i;
       }
     }
   });
