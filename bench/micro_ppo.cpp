@@ -14,7 +14,7 @@
 //
 // `lanes` is a comma-separated lane-count list; the token "native" means the
 // hardware concurrency. Appends a "ppo" block into the output JSON if it
-// already exists (micro_sim/micro_sat write the rest of the file); re-runs
+// already exists (micro_sim writes the rest of the file); re-runs
 // replace a previous "ppo" block instead of duplicating it.
 // DETERRENT_BENCH_MODE=quick shrinks the workload for CI smoke runs.
 #include <algorithm>

@@ -31,9 +31,6 @@
 //   --budget-seconds <s>   per-stage wall-clock budget  (default unlimited)
 //   --sat-budget <n>       training SAT-query budget    (default unlimited)
 //   --threads <n>          campaign circuit workers     (default hardware)
-//   --sat-inprocess <0|1>  solver inprocessing in the compatibility phase (default 1)
-//   --sat-portfolio <n>    clause-sharing solver clones for pair queries (default 0 = off)
-//   --sat-share-lbd <n>    max LBD of clauses exchanged between clones (default 6)
 //   --sat-dispatch <n>     threads for the rollout lanes' SAT work (end-of-episode
 //                          set verification; default = --rollout-lanes, campaign 0
 //                          = sequential; results identical at any count)
@@ -55,6 +52,9 @@
 //   --lint-fatal <sev>     reject at info|warning|error   (default error)
 //   --no-lint              disable the pipeline's lint stage entirely
 //
+// An unknown flag, a flag missing its value, or a stray extra argument is a
+// usage error (exit 2).
+//
 // Campaign exit codes: 0 all circuits clean, 4 degraded (some circuits
 // recovered/retried or quarantined but at least one completed), 5 every
 // circuit permanently failed, 3 interrupted-but-resumable (cancel/budget),
@@ -67,6 +67,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -92,6 +93,7 @@ struct Args {
   std::string command;
   std::string target;
   std::map<std::string, std::string> flags;
+  std::string error;  ///< non-empty: the command line is malformed
 
   double threshold() const { return flag_double("--threshold", 0.1); }
   std::size_t updates() const { return flag_size("--updates", 30); }
@@ -105,16 +107,11 @@ struct Args {
   double budget_seconds() const { return flag_double("--budget-seconds", 0.0); }
   std::uint64_t sat_budget() const { return flag_size("--sat-budget", 0); }
   std::size_t threads() const { return flag_size("--threads", 0); }
-  bool sat_inprocess() const { return flag_size("--sat-inprocess", 1) != 0; }
-  std::size_t sat_portfolio() const { return flag_size("--sat-portfolio", 0); }
   std::size_t sat_dispatch() const { return flag_size("--sat-dispatch", rollout_lanes()); }
   std::size_t compat_shards() const { return flag_size("--compat-shards", 0); }
   std::string cache_dir() const { return flag_string("--cache-dir", ""); }
   bool no_cache() const { return flags.count("--no-cache") != 0; }
   std::size_t rollout_lanes() const { return flag_size("--rollout-lanes", 8); }
-  std::uint32_t sat_share_lbd() const {
-    return static_cast<std::uint32_t>(flag_size("--sat-share-lbd", 6));
-  }
   std::size_t retries() const { return flag_size("--retries", 2); }
   double retry_backoff_ms() const { return flag_double("--retry-backoff-ms", 50.0); }
   double retry_backoff_cap_ms() const {
@@ -141,22 +138,40 @@ struct Args {
   }
 };
 
-bool is_bare_flag(const char* name) {
-  return std::strcmp(name, "--quiet") == 0 || std::strcmp(name, "--no-lint") == 0 ||
-         std::strcmp(name, "--no-cache") == 0;
+/// Every flag the CLI reads: bare flags stand alone, value flags take the
+/// next argument. Anything else on the command line is a usage error.
+constexpr const char* kBareFlags[] = {"--quiet", "--no-lint", "--no-cache"};
+constexpr const char* kValueFlags[] = {
+    "--threshold", "--updates", "--k", "--width", "--trojans", "--seed", "-o", "-p",
+    "--session", "--budget-seconds", "--sat-budget", "--threads", "--sat-dispatch",
+    "--compat-shards", "--cache-dir", "--rollout-lanes", "--retries",
+    "--retry-backoff-ms", "--retry-backoff-cap-ms", "--stage-timeout", "--lint-json",
+    "--lint-fatal", "--fingerprint",
+};
+
+bool listed(std::span<const char* const> list, const char* name) {
+  return std::any_of(list.begin(), list.end(),
+                     [&](const char* flag) { return std::strcmp(flag, name) == 0; });
 }
 
 Args parse_args(int argc, char** argv) {
   Args args;
   if (argc >= 2) args.command = argv[1];
-  if (argc >= 3 && argv[2][0] != '-') args.target = argv[2];
-  for (int i = 3; i < argc; ++i) {
-    if (argv[i][0] != '-') continue;
-    if (is_bare_flag(argv[i])) {
+  int i = 2;
+  if (argc >= 3 && argv[2][0] != '-') args.target = argv[i++];
+  for (; i < argc; ++i) {
+    if (listed(kBareFlags, argv[i])) {
       args.flags[argv[i]] = "1";
+    } else if (!listed(kValueFlags, argv[i])) {
+      args.error = std::string(argv[i][0] == '-' ? "unknown flag " : "unexpected argument ") +
+                   argv[i];
+      break;
     } else if (i + 1 < argc) {
       args.flags[argv[i]] = argv[i + 1];
       ++i;
+    } else {
+      args.error = std::string("flag ") + argv[i] + " needs a value";
+      break;
     }
   }
   return args;
@@ -189,9 +204,6 @@ core::DeterrentConfig pipeline_config(const Args& args) {
   core::DeterrentConfig cfg;
   cfg.lint = lint_config(args);
   cfg.rare.threshold = args.threshold();
-  cfg.compat.inprocess = args.sat_inprocess();
-  cfg.compat.portfolio_threads = args.sat_portfolio();
-  cfg.compat.share_lbd_cap = args.sat_share_lbd();
   cfg.compat.shard_count = args.compat_shards();
   cfg.env.sat_dispatch_threads = args.sat_dispatch();
   cfg.updates = args.updates();
@@ -626,6 +638,11 @@ void usage() {
 
 int main(int argc, char** argv) {
   const Args args = parse_args(argc, argv);
+  if (!args.error.empty()) {
+    std::fprintf(stderr, "error: %s\n", args.error.c_str());
+    usage();
+    return 2;
+  }
   try {
     if (args.command == "lint" && !args.target.empty()) return cmd_lint(args);
     if (args.command == "analyze" && !args.target.empty()) return cmd_analyze(args);

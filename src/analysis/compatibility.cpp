@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <mutex>
 
-#include "sat/encoder.hpp"
-#include "sat/portfolio.hpp"
 #include "sim/engine.hpp"
 #include "util/assert.hpp"
 #include "util/timer.hpp"
@@ -132,23 +130,17 @@ using PairIndex = std::pair<std::uint32_t, std::uint32_t>;
 /// the compatible ones to `found`, and adds the verdicts to `stats`
 /// (sat_sat, sat_unsat, timeout_pairs, sat_queries).
 ///
-/// Model reuse: rare nets are declared query nets, hence frozen, so after a
-/// Sat answer the model's rare-net values are valid. The rare nets it drives
-/// to their rare values are pairwise compatible, so those pairs are recorded
-/// in `seen` and later answered Sat without a solver call. Only truly Sat
-/// pairs are ever skipped; every Unsat pair still reaches the solver.
+/// Model reuse: a Sat model is a full assignment of the netlist's encoding,
+/// so the rare nets it drives to their rare values are pairwise compatible.
+/// Those pairs are recorded in `seen` and later answered Sat without a solver
+/// call. Only truly Sat pairs are ever skipped; every Unsat pair still
+/// reaches the solver.
 void decide_pairs(const netlist::Netlist& netlist, std::span<const RareNet> rare_nets,
                   const CompatibilityBuildConfig& config, std::span<const PairIndex> pairs,
                   std::vector<PairIndex>& found, CompatibilityBuildStats& stats) {
   if (pairs.empty()) return;
   const std::size_t n = rare_nets.size();
-  sat::OracleConfig ocfg;
-  ocfg.inprocess = config.inprocess;
-  std::vector<netlist::NetId> query_nets;
-  query_nets.reserve(n);
-  for (const auto& rn : rare_nets) query_nets.push_back(rn.net);
-  sat::NetlistOracle oracle(netlist, ocfg);
-  oracle.declare_query_nets(query_nets);
+  sat::NetlistOracle oracle(netlist);
 
   std::vector<util::BitVec> seen(n, util::BitVec(n));
   util::BitVec at_rare(n);
@@ -331,71 +323,30 @@ CompatibilityMatrix build_compatibility(const netlist::Netlist& netlist,
   }
   if (signatures_out != nullptr) *signatures_out = std::move(signatures);
 
-  // Phase 2 — SAT decides the pairs simulation never witnessed.
-  if (config.portfolio_threads >= 2) {
-    // Clause-sharing portfolio: all clones hold the same encoding and race
-    // down the shared pair list; learnt clauses flow between them at query
-    // boundaries. Sat/Unsat answers are identical to the single-solver path.
-    // solve_batch exposes no models, so every pair is queried.
-    sat::PortfolioConfig pcfg;
-    pcfg.solvers = config.portfolio_threads;
-    pcfg.share_lbd_cap = config.share_lbd_cap;
-    pcfg.inprocess = config.inprocess;
-    sat::Portfolio portfolio(
-        pcfg, [&](sat::Solver& solver, std::size_t /*clone*/) {
-          sat::encode_netlist(netlist, solver);
-          for (const netlist::NetId in : netlist.inputs()) solver.set_frozen(in);
-          for (const auto& rn : rare_nets) solver.set_frozen(rn.net);
-        });
-    std::vector<sat::Portfolio::Query> queries(unresolved.size());
-    for (std::size_t k = 0; k < unresolved.size(); ++k) {
-      const auto [i, j] = unresolved[k];
-      auto& q = queries[k];
-      q.conflict_budget = config.sat_conflict_budget;
-      q.assumptions.push_back(
-          sat::mk_lit(rare_nets[i].net, !rare_nets[i].rare_value));
-      if (j != i)
-        q.assumptions.push_back(
-            sat::mk_lit(rare_nets[j].net, !rare_nets[j].rare_value));
-    }
-    const auto results = portfolio.solve_batch(queries, pool);
-    local_stats.sat_queries = queries.size();
-    for (std::size_t k = 0; k < unresolved.size(); ++k) {
-      const auto [i, j] = unresolved[k];
-      switch (results[k]) {
-        case sat::Solver::Result::Sat:
-          ++local_stats.sat_sat;
-          matrix.set(i, j);
-          break;
-        case sat::Solver::Result::Unsat: ++local_stats.sat_unsat; break;
-        case sat::Solver::Result::Unknown: ++local_stats.timeout_pairs; break;
-      }
-    }
-  } else {
-    // One oracle per worker; learnt clauses and reused models stay within
-    // that worker's share. The matrix and verdict counts are bit-reproducible
-    // for a fixed seed regardless of thread count; sat_queries is not.
-    std::mutex merge_mutex;
-    auto solve_range = [&](std::size_t begin, std::size_t end) {
-      std::vector<PairIndex> found;
-      CompatibilityBuildStats counts;
-      decide_pairs(netlist, rare_nets, config,
-                   std::span(unresolved).subspan(begin, end - begin), found, counts);
-      std::lock_guard lock(merge_mutex);
-      for (const auto& [i, j] : found) matrix.set(i, j);
-      local_stats.sat_sat += counts.sat_sat;
-      local_stats.sat_unsat += counts.sat_unsat;
-      local_stats.timeout_pairs += counts.timeout_pairs;
-      local_stats.sat_queries += counts.sat_queries;
-    };
+  // Phase 2 — SAT decides the pairs simulation never witnessed, one oracle
+  // per worker; learnt clauses and reused models stay within that worker's
+  // share. The matrix and verdict counts are bit-reproducible for a fixed
+  // seed regardless of thread count; sat_queries is not.
+  std::mutex merge_mutex;
+  auto solve_range = [&](std::size_t begin, std::size_t end) {
+    std::vector<PairIndex> found;
+    CompatibilityBuildStats counts;
+    decide_pairs(netlist, rare_nets, config,
+                 std::span(unresolved).subspan(begin, end - begin), found, counts);
+    std::lock_guard lock(merge_mutex);
+    for (const auto& [i, j] : found) matrix.set(i, j);
+    local_stats.sat_sat += counts.sat_sat;
+    local_stats.sat_unsat += counts.sat_unsat;
+    local_stats.timeout_pairs += counts.timeout_pairs;
+    local_stats.sat_queries += counts.sat_queries;
+  };
 
-    if (pool != nullptr && pool->thread_count() > 1 && unresolved.size() > 64) {
-      pool->parallel_chunks(unresolved.size(),
-                            [&](std::size_t /*thread*/, std::size_t begin,
-                                std::size_t end) { solve_range(begin, end); });
-    } else {
-      solve_range(0, unresolved.size());
-    }
+  if (pool != nullptr && pool->thread_count() > 1 && unresolved.size() > 64) {
+    pool->parallel_chunks(unresolved.size(),
+                          [&](std::size_t /*thread*/, std::size_t begin,
+                              std::size_t end) { solve_range(begin, end); });
+  } else {
+    solve_range(0, unresolved.size());
   }
 
   // A rare net whose singleton is unsatisfiable can never participate in a

@@ -332,9 +332,6 @@ void write_config(util::BinaryWriter& w, const DeterrentConfig& config) {
   w.boolean(config.rare.exclude_inputs);
   w.u64(config.compat.sim_patterns);
   w.i64(config.compat.sat_conflict_budget);
-  w.boolean(config.compat.inprocess);
-  w.u64(config.compat.portfolio_threads);
-  w.u32(config.compat.share_lbd_cap);
   w.u64(config.compat.shard_count);
   w.u8(static_cast<std::uint8_t>(config.env.reward_mode));
   w.u8(static_cast<std::uint8_t>(config.env.mask_mode));
@@ -383,9 +380,6 @@ DeterrentConfig read_config(util::BinaryReader& r) {
   config.rare.exclude_inputs = r.boolean();
   config.compat.sim_patterns = r.u64();
   config.compat.sat_conflict_budget = r.i64();
-  config.compat.inprocess = r.boolean();
-  config.compat.portfolio_threads = r.u64();
-  config.compat.share_lbd_cap = r.u32();
   config.compat.shard_count = r.u64();
   config.env.reward_mode = static_cast<RewardMode>(r.u8());
   config.env.mask_mode = static_cast<MaskMode>(r.u8());

@@ -81,7 +81,11 @@ enum class ArtifactKind : std::uint32_t {
 /// env.sat_dispatch_threads; the compat-shard partial and manifest artifacts
 /// were added (sharded compatibility build). v6: the config block dropped
 /// the PPO rollout-worker count (the vectorized collector is the only one).
-inline constexpr std::uint32_t kArtifactFormatVersion = 6;
+/// v7: the config block dropped the compatibility build's three SAT
+/// accelerator fields (solver simplification between queries, the
+/// clause-sharing solver count and its LBD cap); one plain CDCL solver
+/// answers every query.
+inline constexpr std::uint32_t kArtifactFormatVersion = 7;
 
 /// Verdict of the lint front door (stage 0): the full diagnostic report plus
 /// the reject decision it produced under the run's fail_on severity. Saved as

@@ -1,5 +1,6 @@
 #include "util/faults.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -207,15 +208,18 @@ WriteFault on_write(const char* name) {
 
 const std::vector<std::string>& known_sites() {
   static const std::vector<std::string> sites = {
-      "cache.fetch",             "cache.store",
-      "pipeline.stage_boundary", "sat.portfolio.share",
-      "sat.query",               "serialize.write_artifact",
-      "session.load_artifact",   "threadpool.task",
+      "cache.fetch",              "cache.store",
+      "pipeline.stage_boundary",  "sat.query",
+      "serialize.write_artifact", "session.load_artifact",
+      "threadpool.task",
   };
   return sites;
 }
 
 void arm(const std::string& site, const FaultSpec& spec, std::uint64_t seed) {
+  const auto& sites = known_sites();
+  if (std::find(sites.begin(), sites.end(), site) == sites.end())
+    throw PermanentError("fault injection: unknown site '" + site + "'");
   Registry& r = registry();
   {
     std::lock_guard lock(r.mutex);

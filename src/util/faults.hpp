@@ -64,12 +64,14 @@ struct FaultSpec {
 const std::vector<std::string>& known_sites();
 
 /// Arms `spec` at `site` (replacing any previous spec) and marks the
-/// registry armed. `seed` feeds probabilistic firing at this site.
+/// registry armed. `seed` feeds probabilistic firing at this site. Throws
+/// deterrent::PermanentError when `site` is not in known_sites(): a spec
+/// there would never fire.
 void arm(const std::string& site, const FaultSpec& spec, std::uint64_t seed = 0);
 
 /// Parses the DETERRENT_FAULTS grammar above. Throws deterrent::
-/// PermanentError on a malformed clause (a typo must not silently disable
-/// the campaign's fault plan).
+/// PermanentError on a malformed clause or a site not in known_sites() (a
+/// typo must not silently disable the campaign's fault plan).
 void arm_from_string(const std::string& grammar);
 
 /// Disarms every site and resets all hit/fire counters.

@@ -5,6 +5,7 @@
 #include "analysis/compatibility.hpp"
 #include "analysis/rare_nets.hpp"
 #include "analysis/scoap.hpp"
+#include "bench_gen/library.hpp"
 #include "bench_gen/random_circuit.hpp"
 #include "netlist/bench_io.hpp"
 #include "sat/oracle.hpp"
@@ -408,24 +409,44 @@ TEST(Compatibility, StatsAddUp) {
   EXPECT_GT(stats.build_seconds, 0.0);
 }
 
-TEST(Compatibility, ModelReuseSkipsSolverCalls) {
-  const Netlist nl = small_random(77, 300, 12);
-  util::Rng rng(21);
-  RareNetConfig rcfg;
-  rcfg.threshold = 0.2;
-  const auto rare = find_rare_nets(nl, rcfg, rng);
-  ASSERT_GE(rare.size(), 20u);
+/// Builds with `sim_patterns` prefilter patterns and checks that reused
+/// models answered some Sat pairs without a solver call while the matrix
+/// still equals direct per-pair SAT.
+void expect_model_reuse(const Netlist& nl, std::span<const RareNet> rare,
+                        std::size_t sim_patterns) {
+  CompatibilityBuildConfig ccfg;
+  ccfg.sim_patterns = sim_patterns;
+  CompatibilityBuildStats stats;
+  util::Rng rng(22);
+  const auto matrix = build_compatibility(nl, rare, ccfg, rng, nullptr, &stats);
+  EXPECT_EQ(stats.timeout_pairs, 0u);  // every answer is exact
+  EXPECT_LT(stats.sat_queries, stats.sat_sat + stats.sat_unsat);
+  expect_matches_direct_sat(nl, rare, matrix);
+}
 
-  for (const bool inprocess : {true, false}) {
-    SCOPED_TRACE(inprocess ? "inprocess on" : "inprocess off");
-    CompatibilityBuildConfig ccfg;
-    ccfg.sim_patterns = 1 << 6;  // weak prefilter: most pairs reach phase 2
-    ccfg.inprocess = inprocess;
-    CompatibilityBuildStats stats;
-    util::Rng rng2(22);
-    const auto matrix = build_compatibility(nl, rare, ccfg, rng2, nullptr, &stats);
-    EXPECT_LT(stats.sat_queries, stats.sat_sat + stats.sat_unsat);
-    expect_matches_direct_sat(nl, rare, matrix);
+TEST(Compatibility, ModelReuseSkipsSolverCalls) {
+  // Weak prefilters, so most pairs reach phase 2.
+  {
+    SCOPED_TRACE("random circuit");
+    const Netlist nl = small_random(77, 300, 12);
+    util::Rng rng(21);
+    RareNetConfig rcfg;
+    rcfg.threshold = 0.2;
+    const auto rare = find_rare_nets(nl, rcfg, rng);
+    ASSERT_GE(rare.size(), 20u);
+    expect_model_reuse(nl, rare, 1 << 6);
+  }
+  {
+    SCOPED_TRACE("mips16_like");
+    const Netlist nl = bench_gen::load_benchmark("mips16_like").scan.comb;
+    util::Rng rng(911);
+    RareNetConfig rcfg;
+    rcfg.threshold = 0.15;
+    rcfg.sim_patterns = 1 << 12;
+    auto rare = find_rare_nets(nl, rcfg, rng);
+    ASSERT_GE(rare.size(), 48u);
+    rare.resize(48);
+    expect_model_reuse(nl, rare, 1 << 8);
   }
 }
 

@@ -199,7 +199,6 @@ TEST(ArtifactCacheUnit, ConfigHashIsSensitiveToEverySerializedBlock) {
   mut().rare.sim_patterns = base.rare.sim_patterns + 1;
   mut().compat.sim_patterns = base.compat.sim_patterns + 1;
   mut().compat.sat_conflict_budget = base.compat.sat_conflict_budget + 1;
-  mut().compat.portfolio_threads = base.compat.portfolio_threads + 2;
   mut().compat.shard_count = base.compat.shard_count + 3;
   mut().env.reward_mode = RewardMode::AllSteps;
   mut().env.max_steps = base.env.max_steps + 1;
@@ -269,6 +268,65 @@ TEST(ArtifactCacheIntegration, CorruptEntryIsEvictedAndRegenerated) {
   Session session(third.str(), nl);
   session.attach_cache(&cache);
   EXPECT_EQ(session.resume_or_init(cfg)->next_stage(), Stage::Done);
+}
+
+// ------------------------------------------ older format versions -------
+
+TEST(ArtifactCacheIntegration, OlderFormatVersionIsRejectedAndRegenerated) {
+  // Files written by the previous format version (v6 carried three more
+  // compatibility fields in its config block) must never be parsed as the
+  // current layout: a session quarantines them and regenerates every stage,
+  // and the cache evicts such an entry instead of serving it.
+  const Netlist nl = make_circuit(305);
+  const DeterrentConfig cfg = quick_config(36);
+  const std::uint32_t old_version = kArtifactFormatVersion - 1;
+  const auto set_version = [](const std::string& path, std::uint32_t version) {
+    std::string bytes = read_bytes(path);
+    ASSERT_GT(bytes.size(), 12u);
+    for (int k = 0; k < 4; ++k)  // header: magic, kind, version (u32 LE), ...
+      bytes[8 + k] = static_cast<char>((version >> (8 * k)) & 0xffu);
+    std::ofstream(path, std::ios::binary) << bytes;
+  };
+
+  TempDir cache_dir("oldver_cache");
+  ArtifactCache cache(cache_dir.str());
+  TempDir first("oldver_first");
+  const std::string baseline = run_to_completion(nl, first.str(), cfg, &cache);
+
+  // Session: every artifact now claims the old version.
+  std::size_t rewritten = 0;
+  for (const auto& entry : fs::directory_iterator(first.path)) {
+    if (!entry.is_regular_file()) continue;
+    set_version(entry.path().string(), old_version);
+    ++rewritten;
+  }
+  ASSERT_GE(rewritten, 6u);  // meta, lint, rare nets, compatibility, policy, patterns
+  try {
+    (void)RareNetArtifact::load(first.str(Session::kRareFile));
+    ADD_FAILURE() << "an old-version artifact loaded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("version mismatch"), std::string::npos) << e.what();
+  }
+  {
+    Session session(first.str(), nl);
+    auto pipeline = session.resume_or_init(cfg);
+    EXPECT_EQ(pipeline->next_stage(), Stage::Lint);
+    EXPECT_FALSE(session.quarantined().empty());
+    ASSERT_EQ(pipeline->run_remaining(), StageStatus::Complete);
+    session.save(*pipeline);
+    EXPECT_EQ(sim::write_patterns_string(pipeline->patterns()), baseline);
+  }
+
+  // Cache: an old-version entry under the current name is evicted, not served.
+  const std::uint64_t fp = netlist::structural_fingerprint(nl);
+  const std::uint64_t ch = config_hash(cfg);
+  const std::string entry = cache.entry_path(fp, ch, ArtifactKind::RareNets);
+  ASSERT_TRUE(fs::exists(entry));
+  set_version(entry, old_version);
+  TempDir out("oldver_out");
+  EXPECT_FALSE(cache.fetch(fp, ch, ArtifactKind::RareNets, out.str("rare.art")));
+  EXPECT_EQ(cache.stats().evicted_corrupt, 1u);
+  EXPECT_FALSE(fs::exists(entry));
 }
 
 // --------------------------------- sharded compatibility bit-identity -----

@@ -4,9 +4,7 @@
 // IS a trigger-activating test pattern.
 #include <gtest/gtest.h>
 
-#include "analysis/compatibility.hpp"
 #include "analysis/rare_nets.hpp"
-#include "bench_gen/library.hpp"
 #include "bench_gen/multiplier.hpp"
 #include "bench_gen/random_circuit.hpp"
 #include "netlist/bench_io.hpp"
@@ -14,7 +12,6 @@
 #include "sat/equivalence.hpp"
 #include "sim/simulator.hpp"
 #include "trojan/trojan.hpp"
-#include "util/thread_pool.hpp"
 
 namespace deterrent {
 namespace {
@@ -220,56 +217,6 @@ TEST(Prune, IdempotentOnCleanNetlist) {
   const auto twice = netlist::prune_dead_logic(once.netlist);
   EXPECT_EQ(twice.removed_nets, 0u);
   EXPECT_EQ(twice.netlist.net_count(), once.netlist.net_count());
-}
-
-// --------------------------------------------------------- query pinning ---
-
-// The compatibility matrix is a pure function of (netlist, rare nets, seed).
-// Solver inprocessing and the clause-sharing portfolio are pure accelerators:
-// across inprocess on/off × portfolio width 1/4 every answer — and therefore
-// every matrix bit — must be identical, on a real processor design (MIPS16)
-// and on a random circuit alike.
-TEST(QueryPinning, InprocessAndPortfolioKeepCompatibilityBitIdentical) {
-  std::vector<std::pair<std::string, Netlist>> designs;
-  designs.emplace_back("random", small_random(77, 300));
-  designs.emplace_back("mips16",
-                       bench_gen::load_benchmark("mips16_like").scan.comb);
-
-  util::ThreadPool pool(4);
-  for (const auto& [name, nl] : designs) {
-    analysis::RareNetConfig rcfg;
-    rcfg.threshold = 0.15;
-    rcfg.sim_patterns = 1 << 12;
-    util::Rng rare_rng(911);
-    auto rare = analysis::find_rare_nets(nl, rcfg, rare_rng);
-    if (rare.size() > 14) rare.resize(14);
-    ASSERT_GE(rare.size(), 2u) << name;
-
-    // Weak prefilter so a meaningful share of pairs reaches the solver.
-    const auto build = [&](bool inprocess, std::size_t portfolio_threads) {
-      analysis::CompatibilityBuildConfig ccfg;
-      ccfg.sim_patterns = 1 << 8;
-      ccfg.inprocess = inprocess;
-      ccfg.portfolio_threads = portfolio_threads;
-      util::Rng rng(4242);
-      analysis::CompatibilityBuildStats stats;
-      auto matrix =
-          analysis::build_compatibility(nl, rare, ccfg, rng, &pool, &stats);
-      EXPECT_EQ(stats.timeout_pairs, 0u) << name;  // answers are all exact
-      return matrix;
-    };
-
-    const auto reference = build(false, 0);
-    for (const bool inprocess : {false, true})
-      for (const std::size_t width : {std::size_t{1}, std::size_t{4}}) {
-        const auto matrix = build(inprocess, width);
-        ASSERT_EQ(matrix.size(), reference.size()) << name;
-        for (std::uint32_t i = 0; i < matrix.size(); ++i)
-          ASSERT_EQ(matrix.row(i), reference.row(i))
-              << name << ": row " << i << " diverged with inprocess="
-              << inprocess << " portfolio=" << width;
-      }
-  }
 }
 
 }  // namespace
