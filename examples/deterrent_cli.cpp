@@ -34,8 +34,6 @@
 //   --sat-dispatch <n>     threads for the rollout lanes' SAT work (end-of-episode
 //                          set verification; default = --rollout-lanes, campaign 0
 //                          = sequential; results identical at any count)
-//   --compat-shards <n>    split the compatibility build into n deterministic
-//                          row-range shards, checkpointed per shard (default 0)
 //   --cache-dir <dir>      shared content-addressed artifact cache: staged
 //                          commands hydrate from and publish to it
 //   --no-cache             ignore --cache-dir for this invocation
@@ -52,8 +50,12 @@
 //   --lint-fatal <sev>     reject at info|warning|error   (default error)
 //   --no-lint              disable the pipeline's lint stage entirely
 //
-// An unknown flag, a flag missing its value, or a stray extra argument is a
-// usage error (exit 2).
+// Numeric values are unsigned decimals (--fingerprint: hex) parsed whole: a
+// sign, trailing characters or an out-of-range value is rejected. --threads,
+// --sat-dispatch and --rollout-lanes are at most 256.
+//
+// An unknown flag, a flag missing its value, a malformed numeric value, or a
+// stray extra argument is a usage error (exit 2).
 //
 // Campaign exit codes: 0 all circuits clean, 4 degraded (some circuits
 // recovered/retried or quarantined but at least one completed), 5 every
@@ -62,11 +64,14 @@
 // `lint` (and any staged command whose front door rejects) exits 6 with the
 // offending diagnostics on stdout. See docs/lint.md.
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -89,6 +94,27 @@ using namespace deterrent;
 
 namespace {
 
+/// The whole of `text` as an unsigned integer: no sign, no whitespace, no
+/// trailing characters, no overflow.
+std::optional<std::uint64_t> parse_count(const std::string& text, int base = 10) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value, base);
+  if (text.empty() || ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+/// The whole of `text` as a finite, unsigned real number.
+std::optional<double> parse_real(const std::string& text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || text[0] == '-' || ec != std::errc() || ptr != end ||
+      !std::isfinite(value))
+    return std::nullopt;
+  return value;
+}
+
 struct Args {
   std::string command;
   std::string target;
@@ -108,7 +134,6 @@ struct Args {
   std::uint64_t sat_budget() const { return flag_size("--sat-budget", 0); }
   std::size_t threads() const { return flag_size("--threads", 0); }
   std::size_t sat_dispatch() const { return flag_size("--sat-dispatch", rollout_lanes()); }
-  std::size_t compat_shards() const { return flag_size("--compat-shards", 0); }
   std::string cache_dir() const { return flag_string("--cache-dir", ""); }
   bool no_cache() const { return flags.count("--no-cache") != 0; }
   std::size_t rollout_lanes() const { return flag_size("--rollout-lanes", 8); }
@@ -124,13 +149,14 @@ struct Args {
   bool quiet() const { return flags.count("--quiet") != 0; }
   bool has(const char* name) const { return flags.count(name) != 0; }
 
+  // Numeric values were validated by parse_args, so these parses succeed.
   double flag_double(const char* name, double fallback) const {
     const auto it = flags.find(name);
-    return it == flags.end() ? fallback : std::stod(it->second);
+    return it == flags.end() ? fallback : *parse_real(it->second);
   }
-  std::size_t flag_size(const char* name, std::size_t fallback) const {
+  std::uint64_t flag_size(const char* name, std::uint64_t fallback, int base = 10) const {
     const auto it = flags.find(name);
-    return it == flags.end() ? fallback : static_cast<std::size_t>(std::stoull(it->second));
+    return it == flags.end() ? fallback : *parse_count(it->second, base);
   }
   std::string flag_string(const char* name, std::string fallback) const {
     const auto it = flags.find(name);
@@ -144,10 +170,20 @@ constexpr const char* kBareFlags[] = {"--quiet", "--no-lint", "--no-cache"};
 constexpr const char* kValueFlags[] = {
     "--threshold", "--updates", "--k", "--width", "--trojans", "--seed", "-o", "-p",
     "--session", "--budget-seconds", "--sat-budget", "--threads", "--sat-dispatch",
-    "--compat-shards", "--cache-dir", "--rollout-lanes", "--retries",
-    "--retry-backoff-ms", "--retry-backoff-cap-ms", "--stage-timeout", "--lint-json",
-    "--lint-fatal", "--fingerprint",
+    "--cache-dir", "--rollout-lanes", "--retries", "--retry-backoff-ms",
+    "--retry-backoff-cap-ms", "--stage-timeout", "--lint-json", "--lint-fatal",
+    "--fingerprint",
 };
+/// Value flags parse_args checks: unsigned decimal counts, worker counts
+/// (also capped at kMaxWorkers, since each one starts a thread or a lane),
+/// and unsigned reals. --fingerprint is checked as hex.
+constexpr const char* kCountFlags[] = {"--updates", "--k", "--width", "--trojans",
+                                       "--seed", "--sat-budget", "--retries"};
+constexpr const char* kWorkerFlags[] = {"--threads", "--sat-dispatch", "--rollout-lanes"};
+constexpr const char* kRealFlags[] = {"--threshold", "--budget-seconds",
+                                      "--retry-backoff-ms", "--retry-backoff-cap-ms",
+                                      "--stage-timeout"};
+constexpr std::uint64_t kMaxWorkers = 256;
 
 bool listed(std::span<const char* const> list, const char* name) {
   return std::any_of(list.begin(), list.end(),
@@ -172,6 +208,22 @@ Args parse_args(int argc, char** argv) {
     } else {
       args.error = std::string("flag ") + argv[i] + " needs a value";
       break;
+    }
+  }
+  for (const auto& [name, value] : args.flags) {
+    if (!args.error.empty()) break;
+    const bool worker = listed(kWorkerFlags, name.c_str());
+    if (worker || listed(kCountFlags, name.c_str())) {
+      const auto count = parse_count(value);
+      if (!count.has_value())
+        args.error = "flag " + name + " needs an unsigned integer, got '" + value + "'";
+      else if (worker && *count > kMaxWorkers)
+        args.error = "flag " + name + " is at most " + std::to_string(kMaxWorkers) +
+                     ", got " + value;
+    } else if (listed(kRealFlags, name.c_str()) && !parse_real(value).has_value()) {
+      args.error = "flag " + name + " needs an unsigned number, got '" + value + "'";
+    } else if (name == "--fingerprint" && !parse_count(value, 16).has_value()) {
+      args.error = "flag --fingerprint needs a hex value, got '" + value + "'";
     }
   }
   return args;
@@ -204,7 +256,6 @@ core::DeterrentConfig pipeline_config(const Args& args) {
   core::DeterrentConfig cfg;
   cfg.lint = lint_config(args);
   cfg.rare.threshold = args.threshold();
-  cfg.compat.shard_count = args.compat_shards();
   cfg.env.sat_dispatch_threads = args.sat_dispatch();
   cfg.updates = args.updates();
   cfg.k_patterns = args.k();
@@ -613,11 +664,10 @@ int cmd_cache(const Args& args) {
   }
   if (args.target == "evict") {
     std::size_t removed;
-    const std::string fp = args.flag_string("--fingerprint", "");
-    if (fp.empty()) {
+    if (!args.has("--fingerprint")) {
       removed = cache.evict_all();
     } else {
-      removed = cache.evict_fingerprint(std::stoull(fp, nullptr, 16));
+      removed = cache.evict_fingerprint(args.flag_size("--fingerprint", 0, 16));
     }
     std::printf("evicted %zu entries from %s\n", removed, cache.root().c_str());
     return 0;
@@ -631,7 +681,9 @@ void usage() {
   std::fprintf(stderr,
                "usage: deterrent_cli <lint|analyze|generate|evaluate|export|prepare|train|"
                "extract|resume|campaign|cache> <bench|name> [flags]\n"
-               "  (see header comment for flags)\n");
+               "  numeric values are unsigned and parsed whole; --threads, --sat-dispatch\n"
+               "  and --rollout-lanes are at most %llu (see header comment for flags)\n",
+               static_cast<unsigned long long>(kMaxWorkers));
 }
 
 }  // namespace
@@ -656,8 +708,8 @@ int main(int argc, char** argv) {
     if (args.command == "campaign" && !args.target.empty()) return cmd_campaign(args);
     if (args.command == "cache" && !args.target.empty()) return cmd_cache(args);
   } catch (const std::exception& e) {
-    // Covers deterrent::Error plus std:: failures (bad flag values hitting
-    // stoull/stod, filesystem errors) — a CLI typo must not SIGABRT.
+    // Covers deterrent::Error plus std:: failures (filesystem errors) — a
+    // CLI mistake must not SIGABRT.
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "analysis/rare_nets.hpp"
@@ -60,10 +59,6 @@ class CompatibilityMatrix {
   /// Mean degree (compatible partners per rare net), excluding the diagonal.
   double average_degree() const;
 
-  /// ORs `other`'s rows into this matrix (sizes must match) — the shard
-  /// merge. Symmetry is preserved because every partial is itself symmetric.
-  void merge_or(const CompatibilityMatrix& other);
-
  private:
   std::vector<util::BitVec> rows_;
   mutable std::atomic<std::size_t> cached_edge_count_{0};
@@ -77,13 +72,6 @@ struct CompatibilityBuildConfig {
   /// Conflict budget per SAT pair query; exhausted budget conservatively
   /// reports "incompatible" (counted in timeout_pairs).
   std::int64_t sat_conflict_budget = 50000;
-  /// >= 2 splits the pairwise build into that many deterministic row-range
-  /// shards, each producing a full-width partial matrix merged by ORing rows
-  /// (see compatibility_shard_ranges / build_compatibility_shard). The merged
-  /// matrix — and every deterministic stats field — is identical to the
-  /// monolithic build's; shards run across the pool, one SAT oracle each.
-  /// 0/1 keeps the unsharded path.
-  std::size_t shard_count = 0;
 };
 
 struct CompatibilityBuildStats {
@@ -95,9 +83,9 @@ struct CompatibilityBuildStats {
   std::size_t timeout_pairs = 0;       ///< budget exhausted (treated incompatible)
   std::size_t unsat_singletons = 0;    ///< rare nets with no satisfying pattern
   /// Solver calls phase 2 made in this run. Runtime-only: never serialized,
-  /// so a build hydrated from a cached artifact or persisted shard partials
-  /// reports 0. Depends on the pair schedule (thread count, shard plan);
-  /// the matrix and the verdict counts above do not.
+  /// so a build hydrated from a cached artifact reports 0. Depends on the
+  /// pair schedule (thread count); the matrix and the verdict counts above
+  /// do not.
   std::size_t sat_queries = 0;
   double build_seconds = 0.0;
 };
@@ -118,36 +106,6 @@ CompatibilityMatrix build_compatibility(const netlist::Netlist& netlist,
                                         util::Rng& rng, util::ThreadPool* pool = nullptr,
                                         CompatibilityBuildStats* stats = nullptr,
                                         std::vector<util::BitVec>* signatures_out = nullptr);
-
-/// Deterministic shard plan for a sharded build: contiguous row ranges
-/// [begin, end) covering [0, n), balanced by owned pair count (shard k owns
-/// every pair (i, j) with begin <= i < end, j >= i — a triangular workload,
-/// so early rows are worth more than late ones). Depends only on
-/// (n, shard_count): the plan is stable across machines and thread counts,
-/// which is what lets remote workers pick up chunks from a serialized
-/// manifest. shard_count is clamped to [1, n] (n == 0 yields one empty
-/// range so the merge loop still runs).
-std::vector<std::pair<std::uint32_t, std::uint32_t>> compatibility_shard_ranges(
-    std::size_t n, std::size_t shard_count);
-
-/// Builds one shard's partial matrix: phase-1 signature intersection and
-/// phase-2 SAT for every owned pair (row_begin <= i < row_end, j >= i),
-/// single-threaded with one private SAT oracle. The partial is full-width
-/// (n × n) and symmetric; ORing all shards' partials reproduces the
-/// monolithic build's matrix bit-for-bit. `stats` receives this shard's
-/// counters only (pair_count = owned pairs; no singleton finalize — that is
-/// a whole-matrix pass, see finalize_compatibility).
-CompatibilityMatrix build_compatibility_shard(
-    const netlist::Netlist& netlist, std::span<const RareNet> rare_nets,
-    const CompatibilityBuildConfig& config, std::span<const util::BitVec> signatures,
-    std::uint32_t row_begin, std::uint32_t row_end,
-    CompatibilityBuildStats* stats = nullptr);
-
-/// Post-merge pass shared by the monolithic and sharded builds: a rare net
-/// whose singleton is unsatisfiable can never participate in a trigger, so
-/// its whole row is cleared. Returns the number of rows cleared
-/// (stats.unsat_singletons).
-std::size_t finalize_compatibility(CompatibilityMatrix& matrix);
 
 /// Per-rare-net activation signatures under `pattern_count` random patterns:
 /// bit p of signature i is set when pattern p drives rare net i to its rare

@@ -332,7 +332,6 @@ void write_config(util::BinaryWriter& w, const DeterrentConfig& config) {
   w.boolean(config.rare.exclude_inputs);
   w.u64(config.compat.sim_patterns);
   w.i64(config.compat.sat_conflict_budget);
-  w.u64(config.compat.shard_count);
   w.u8(static_cast<std::uint8_t>(config.env.reward_mode));
   w.u8(static_cast<std::uint8_t>(config.env.mask_mode));
   w.u64(config.env.max_steps);
@@ -380,7 +379,6 @@ DeterrentConfig read_config(util::BinaryReader& r) {
   config.rare.exclude_inputs = r.boolean();
   config.compat.sim_patterns = r.u64();
   config.compat.sat_conflict_budget = r.i64();
-  config.compat.shard_count = r.u64();
   config.env.reward_mode = static_cast<RewardMode>(r.u8());
   config.env.mask_mode = static_cast<MaskMode>(r.u8());
   config.env.max_steps = r.u64();

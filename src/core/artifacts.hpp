@@ -56,8 +56,8 @@ struct TrainingSnapshot {
 // own. Artifacts are versioned binary files (util::write_artifact_file
 // envelope: magic, kind, version, netlist fingerprint, CRC) so a run can be
 // checkpointed after any stage and resumed — in another process, on another
-// machine — with bit-identical results. They are also the exchange unit the
-// planned sharded/distributed offline phase ships between workers.
+// machine — with bit-identical results. They are also the unit the shared
+// ArtifactCache stores and serves across sessions.
 // ---------------------------------------------------------------------------
 
 /// Discriminator stored in the artifact file header.
@@ -68,8 +68,6 @@ enum class ArtifactKind : std::uint32_t {
   Policy = 4,
   Patterns = 5,
   Lint = 6,
-  CompatShardPartial = 7,
-  CompatShardManifest = 8,
 };
 
 /// Bumped whenever any artifact payload layout changes; loaders reject other
@@ -77,15 +75,17 @@ enum class ArtifactKind : std::uint32_t {
 /// LintConfig block; the lint verdict artifact was added. v4: PpoConfig
 /// gained rollout_lanes and TrainerState gained the episode-stream seed
 /// (vectorized trainer with collector-independent episode RNG streams).
-/// v5: the config block gained compat.shard_count and
+/// v5: the config block gained the compatibility build's shard count and
 /// env.sat_dispatch_threads; the compat-shard partial and manifest artifacts
 /// were added (sharded compatibility build). v6: the config block dropped
 /// the PPO rollout-worker count (the vectorized collector is the only one).
 /// v7: the config block dropped the compatibility build's three SAT
 /// accelerator fields (solver simplification between queries, the
 /// clause-sharing solver count and its LBD cap); one plain CDCL solver
-/// answers every query.
-inline constexpr std::uint32_t kArtifactFormatVersion = 7;
+/// answers every query. v8: the config block dropped the compatibility
+/// build's shard count; kinds 7/8 (the compat-shard partial and manifest)
+/// were removed with the sharded build.
+inline constexpr std::uint32_t kArtifactFormatVersion = 8;
 
 /// Verdict of the lint front door (stage 0): the full diagnostic report plus
 /// the reject decision it produced under the run's fail_on severity. Saved as

@@ -3,7 +3,6 @@
 #include <unordered_set>
 
 #include "analysis/lint.hpp"
-#include "core/compat_shards.hpp"
 #include "netlist/stats.hpp"
 #include "sat/oracle.hpp"
 #include "util/assert.hpp"
@@ -173,10 +172,8 @@ StageStatus Pipeline::run_compatibility(const StageControl& control) {
     util::Rng rng;
     rng.set_state(offline_rng_state_);
     util::ThreadPool workers(config_.offline_threads);
-    matrix_ = build_sharded_compatibility(*netlist_, rare_nets_, config_.compat, rng,
-                                          &workers, &compat_stats_,
-                                          &witness_signatures_, compat_scratch_dir_,
-                                          fingerprint_, rare_hash());
+    matrix_ = analysis::build_compatibility(*netlist_, rare_nets_, config_.compat, rng,
+                                            &workers, &compat_stats_, &witness_signatures_);
     util::Log::info("pipeline: prepared ", rare_nets_.size(), " rare nets, ",
                     matrix_->edge_count(), " compatible pairs (",
                     compat_stats_.sim_resolved, " sim, ", compat_stats_.sat_sat,

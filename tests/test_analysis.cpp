@@ -368,23 +368,18 @@ TEST(Compatibility, ThreadedBuildMatchesSequential) {
   util::Rng rng_a(42);
   const auto seq = build_compatibility(nl, rare, {}, rng_a, nullptr, &seq_stats);
   for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-    for (const std::size_t shards : {std::size_t{0}, std::size_t{3}}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " shard_count=" + std::to_string(shards));
-      util::ThreadPool pool(threads);
-      CompatibilityBuildConfig cfg;
-      cfg.shard_count = shards;
-      CompatibilityBuildStats stats;
-      util::Rng rng_b(42);
-      const auto par = build_compatibility(nl, rare, cfg, rng_b, &pool, &stats);
-      ASSERT_EQ(seq.size(), par.size());
-      for (std::uint32_t i = 0; i < seq.size(); ++i)
-        for (std::uint32_t j = 0; j < seq.size(); ++j)
-          ASSERT_EQ(seq.compatible(i, j), par.compatible(i, j)) << i << "," << j;
-      EXPECT_EQ(stats.sim_resolved, seq_stats.sim_resolved);
-      EXPECT_EQ(stats.sat_sat, seq_stats.sat_sat);
-      EXPECT_EQ(stats.sat_unsat, seq_stats.sat_unsat);
-    }
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    util::ThreadPool pool(threads);
+    CompatibilityBuildStats stats;
+    util::Rng rng_b(42);
+    const auto par = build_compatibility(nl, rare, {}, rng_b, &pool, &stats);
+    ASSERT_EQ(seq.size(), par.size());
+    for (std::uint32_t i = 0; i < seq.size(); ++i)
+      for (std::uint32_t j = 0; j < seq.size(); ++j)
+        ASSERT_EQ(seq.compatible(i, j), par.compatible(i, j)) << i << "," << j;
+    EXPECT_EQ(stats.sim_resolved, seq_stats.sim_resolved);
+    EXPECT_EQ(stats.sat_sat, seq_stats.sat_sat);
+    EXPECT_EQ(stats.sat_unsat, seq_stats.sat_unsat);
   }
 }
 

@@ -358,6 +358,38 @@ TEST_F(Mips16Test, UnrelatedRegistersHoldDuringWrite) {
   EXPECT_EQ(next_state(v, "r1_"), 10u);
 }
 
+TEST_F(Mips16Test, RunsAProgram) {
+  // Four instructions, each cycle's next state fed back as the next cycle's
+  // PC, registers, HI and LO (destination is the rd/imm field; ADDI writes
+  // r[imm]):
+  //   ADDI r3, r0, 3     -> r3 = 3
+  //   ADD  r2 = r3 + r3  -> r2 = 6
+  //   MUL  r5 = r2 * r3  -> r5 = 18, LO = 18
+  //   ADD  r6 = r5 + r2  -> r6 = 24
+  const std::uint16_t program[] = {
+      encode(kAddi, 0, 0, 3),
+      encode(kAdd, 3, 3, 2),
+      encode(kMul, 2, 3, 5),
+      encode(kAdd, 5, 2, 6),
+  };
+  std::array<std::uint16_t, 16> regs{};
+  std::uint16_t pc = 0, hi = 0, lo = 0;
+  for (const std::uint16_t instr : program) {
+    const auto v = cycle(instr, 0, pc, regs, hi, lo);
+    pc = next_state(v, "pc");
+    for (unsigned r = 1; r < 16; ++r)
+      regs[r] = next_state(v, "r" + std::to_string(r) + "_");
+    hi = next_state(v, "hi");
+    lo = next_state(v, "lo");
+  }
+  EXPECT_EQ(regs[3], 3u);
+  EXPECT_EQ(regs[2], 6u);
+  EXPECT_EQ(regs[5], 18u);
+  EXPECT_EQ(lo, 18u);
+  EXPECT_EQ(regs[6], 24u);
+  EXPECT_EQ(pc, 4u);  // four sequential instructions
+}
+
 // -------------------------------------------------------------- library ----
 
 TEST(Library, AllNamedBenchmarksLoad) {

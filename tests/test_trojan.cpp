@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 
 #include "bench_gen/library.hpp"
 #include "bench_gen/random_circuit.hpp"
@@ -37,6 +38,15 @@ Fixture make_fixture(std::uint64_t seed, double threshold = 0.15) {
   rcfg.sim_patterns = 1 << 13;
   f.rare = analysis::find_rare_nets(f.netlist, rcfg, rng);
   return f;
+}
+
+Netlist small_random(std::uint64_t seed, std::size_t gates) {
+  bench_gen::RandomCircuitProfile p;
+  p.n_inputs = 10;
+  p.n_outputs = 5;
+  p.n_gates = gates;
+  p.seed = seed;
+  return bench_gen::generate_random_circuit(p);
 }
 
 // ----------------------------------------------------------- sampling ------
@@ -189,6 +199,55 @@ TEST(ApplyTrojan, InfectedNetlistStillAcyclic) {
     const Netlist infected = apply_trojan(f.netlist, t);
     EXPECT_EQ(infected.outputs().size(), f.netlist.outputs().size());
     EXPECT_GT(infected.net_count(), f.netlist.net_count());
+  }
+}
+
+TEST(ApplyTrojan, InfectedDesignDiffersExactlyWhenTriggerFires) {
+  // Golden vs HT-infected: the two designs differ on a pattern exactly when
+  // every select net sits at its rare value, and the trigger's SAT witness
+  // is such a pattern.
+  const Netlist golden = small_random(33, 200);
+  util::Rng rng(5);
+  analysis::RareNetConfig rcfg;
+  rcfg.threshold = 0.2;
+  const auto rare = analysis::find_rare_nets(golden, rcfg, rng);
+  ASSERT_GE(rare.size(), 4u);
+  sat::NetlistOracle oracle(golden);
+  TrojanSampleConfig tcfg;
+  tcfg.width = 3;
+  tcfg.count = 5;
+  const auto trojans = sample_trojans(golden, rare, tcfg, oracle, rng);
+  ASSERT_FALSE(trojans.empty());
+
+  const auto random = sim::PatternSet::random(golden.inputs().size(), 256, rng);
+  sim::Simulator gsim(golden);
+  for (const auto& ht : trojans) {
+    const Netlist infected = apply_trojan(golden, ht);
+    ASSERT_EQ(infected.outputs().size(), golden.outputs().size());
+    sim::Simulator isim(infected);
+    std::vector<sat::Constraint> cs;
+    for (const auto& rn : ht.trigger) cs.push_back({rn.net, rn.rare_value});
+    const auto witness = oracle.find_pattern(cs);
+    ASSERT_TRUE(witness.has_value());
+
+    // {trigger fired, outputs differ} under one pattern.
+    const auto run = [&](const sim::Pattern& p) {
+      const auto gv = gsim.simulate_pattern(p);
+      const auto iv = isim.simulate_pattern(p);
+      bool fired = true;
+      for (const auto& rn : ht.trigger) fired = fired && gv[rn.net] == rn.rare_value;
+      bool differ = false;
+      for (std::size_t o = 0; o < golden.outputs().size(); ++o)
+        differ = differ || gv[golden.outputs()[o]] != iv[infected.outputs()[o]];
+      return std::pair{fired, differ};
+    };
+    for (std::size_t i = 0; i < random.pattern_count(); ++i) {
+      const auto [fired, differ] = run(random.pattern(i));
+      EXPECT_EQ(differ, fired) << "pattern " << i;
+    }
+    const auto [fired, differ] = run(*witness);
+    EXPECT_TRUE(fired) << "witness does not activate the trigger";
+    EXPECT_TRUE(differ) << "witness does not expose the HT";
   }
 }
 
