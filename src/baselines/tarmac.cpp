@@ -41,9 +41,7 @@ TarmacResult run_tarmac(const netlist::Netlist& netlist,
       if (!allowed.test(c)) continue;  // pruned by a previous acceptance
       ++checks;
       constraints.push_back({rare_nets[c].net, rare_nets[c].rare_value});
-      const bool ok =
-          oracle.try_satisfiable(constraints, config.sat_conflict_budget).value_or(false);
-      if (ok) {
+      if (oracle.satisfiable(constraints, config.sat_conflict_budget)) {
         clique.push_back(c);
         allowed &= matrix.row(c);
         allowed.set(c, false);
@@ -60,6 +58,7 @@ TarmacResult run_tarmac(const netlist::Netlist& netlist,
     result.clique_sizes.push_back(clique.size());
     result.max_clique_size = std::max(result.max_clique_size, clique.size());
   }
+  result.sat_unknowns = oracle.solver_stats().unknowns;
   return result;
 }
 

@@ -28,6 +28,9 @@ struct TarmacResult {
   sim::PatternSet patterns;
   std::vector<std::size_t> clique_sizes;  ///< per emitted pattern
   std::size_t max_clique_size = 0;
+  /// Expansion checks whose conflict budget ran out; each was treated as
+  /// incompatible, so a nonzero count means some cliques may not be maximal.
+  std::uint64_t sat_unknowns = 0;
 };
 
 TarmacResult run_tarmac(const netlist::Netlist& netlist,

@@ -12,47 +12,86 @@ namespace {
 /// EndOfEpisode verification of an optimistic member list (insertion order),
 /// shared by the scalar and the vectorized env so both issue the same query
 /// stream. Prefix satisfiability is monotone (constraints only accumulate),
-/// so a binary search finds the longest satisfiable prefix in O(log T) SAT
-/// calls instead of one per step — the mechanism that makes end-of-episode
-/// reward cheap (§3.2). A simulation witness (the AND of the members'
-/// signatures is nonzero) answers a check without the oracle; such checks
-/// are counted into `witness_hits`. `solve` answers joint satisfiability of
-/// a constraint list on the caller's oracle (an exhausted budget is false);
-/// `constraints` is scratch space.
-template <class Solve>
+/// so a search over prefix lengths finds the longest satisfiable prefix in
+/// O(log T) SAT calls instead of one per step — the mechanism that makes
+/// end-of-episode reward cheap (§3.2). A simulation witness (the AND of the
+/// members' signatures is nonzero) answers a check without the oracle; such
+/// checks are counted into `witness_hits`. Every other check is one budgeted
+/// query on `oracle` (an exhausted budget is false and counted in its
+/// solver_stats().unknowns); `constraints` is scratch space.
+///
+/// Answers are reused in both directions:
+/// - Sat: the model is a full assignment of the netlist that satisfies every
+///   constraint asked. Any member it drives to its rare value can join the
+///   set with the model still a proof, so it is admitted without a query:
+///   the search extends `lo` along the model, and greedy repair admits such
+///   members outright.
+/// - Unsat: the assumption core is a contradictory subset of the prefix, so
+///   the prefix ending at the core's last member is Unsat too and bounds
+///   `hi`. That bound is usually exact, so the search probes just below it
+///   first and bisects only when the probe fails.
+/// Only truly satisfiable sets are admitted and only truly unsatisfiable
+/// prefixes cut off. Each query keeps its assumption order (kept members,
+/// then the candidate), so the solver's kept trail covers all but the last.
 std::vector<std::uint32_t> verify_members(std::span<const std::uint32_t> members,
                                           std::span<const analysis::RareNet> rare_nets,
                                           const std::vector<util::BitVec>* sigs,
                                           std::size_t repair_budget,
+                                          sat::NetlistOracle& oracle,
+                                          std::int64_t conflict_budget,
                                           std::vector<sat::Constraint>& constraints,
-                                          std::uint64_t& witness_hits, Solve&& solve) {
+                                          std::uint64_t& witness_hits) {
   const auto witness_of = [&](std::size_t len) {
     util::BitVec joint = (*sigs)[members[0]];
     for (std::size_t k = 1; k < len; ++k) joint &= (*sigs)[members[k]];
     return joint;
   };
-  const auto prefix_sat = [&](std::size_t len) {
+  const auto rare_in_model = [&](std::uint32_t m) {
+    return oracle.solver().model_value(rare_nets[m].net) == rare_nets[m].rare_value;
+  };
+  enum class Proof { None, Witness, Model };
+  const auto prefix_proof = [&](std::size_t len) {
     if (sigs != nullptr && witness_of(len).any()) {
       ++witness_hits;
-      return true;
+      return Proof::Witness;
     }
     constraints.clear();
     for (std::size_t k = 0; k < len; ++k) {
       const auto& rn = rare_nets[members[k]];
       constraints.push_back({rn.net, rn.rare_value});
     }
-    return solve(std::span<const sat::Constraint>(constraints));
+    return oracle.satisfiable(constraints, conflict_budget) ? Proof::Model : Proof::None;
   };
 
   std::size_t lo = 1;  // singleton start is satisfiable by construction
   std::size_t hi = members.size();
-  if (prefix_sat(hi)) return {members.begin(), members.end()};
-  while (hi - lo > 1) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (prefix_sat(mid))
-      lo = mid;
-    else
-      hi = mid;
+  bool model_proves_kept = false;  // the oracle's last model satisfies prefix lo
+  // After a refuted prefix of length len: the shortest prefix (longer than
+  // lo, which is proven) that still holds the last Unsat answer's core. An
+  // Unknown has no core and bounds nothing beyond len itself.
+  std::vector<sat::Var> core_nets;
+  const auto refuted_bound = [&](std::size_t len) {
+    core_nets.clear();
+    for (const sat::Lit l : oracle.solver().conflict_core()) core_nets.push_back(sat::var_of(l));
+    std::sort(core_nets.begin(), core_nets.end());
+    for (std::size_t k = len; k-- > lo;)
+      if (std::binary_search(core_nets.begin(), core_nets.end(), rare_nets[members[k]].net))
+        return k + 1;
+    return len;
+  };
+
+  if (prefix_proof(hi) != Proof::None) return {members.begin(), members.end()};
+  hi = refuted_bound(hi);
+  for (std::size_t mid = hi - 1; hi - lo > 1; mid = lo + (hi - lo) / 2) {
+    const Proof proof = prefix_proof(mid);
+    if (proof == Proof::None) {
+      hi = refuted_bound(mid);
+      continue;
+    }
+    lo = mid;
+    model_proves_kept = proof == Proof::Model;
+    if (model_proves_kept)
+      while (lo + 1 < hi && rare_in_model(members[lo])) ++lo;
   }
 
   // Greedy repair: pairwise evidence admitted members the joint check now
@@ -70,17 +109,23 @@ std::vector<std::uint32_t> verify_members(std::span<const std::uint32_t> members
     constraints.push_back({rare_nets[m].net, rare_nets[m].rare_value});
   std::size_t budget = repair_budget;
   for (std::size_t k = lo + 1; k < members.size() && budget > 0; ++k, --budget) {
-    const auto& rn = rare_nets[members[k]];  // member lo itself broke the prefix
-    constraints.push_back({rn.net, rn.rare_value});
-    if (sigs != nullptr && joint.intersects((*sigs)[members[k]])) {
+    const std::uint32_t m = members[k];  // member lo itself broke the prefix
+    constraints.push_back({rare_nets[m].net, rare_nets[m].rare_value});
+    // A reused model and a witness never both apply: the model came from a
+    // query no witness answered, so `joint` is empty while it proves `kept`.
+    bool admit = false;
+    if (sigs != nullptr && joint.intersects((*sigs)[m])) {
       ++witness_hits;
-      joint &= (*sigs)[members[k]];
-      kept.push_back(members[k]);
-      continue;
+      admit = true;
+    } else if (model_proves_kept && rare_in_model(m)) {
+      admit = true;
+    } else if (oracle.satisfiable(constraints, conflict_budget)) {
+      admit = true;
+      model_proves_kept = true;
     }
-    if (solve(std::span<const sat::Constraint>(constraints))) {
-      if (sigs != nullptr) joint &= (*sigs)[members[k]];
-      kept.push_back(members[k]);
+    if (admit) {
+      if (sigs != nullptr) joint &= (*sigs)[m];
+      kept.push_back(m);
     } else {
       constraints.pop_back();
     }
@@ -163,9 +208,7 @@ bool CompatibleSetEnv::joint_satisfiable_with(std::uint32_t action) {
   for (const std::uint32_t m : members_)
     scratch_constraints_.push_back({rare_nets_[m].net, rare_nets_[m].rare_value});
   scratch_constraints_.push_back({rare_nets_[action].net, rare_nets_[action].rare_value});
-  return oracle_
-      .try_satisfiable(scratch_constraints_, config_.sat_conflict_budget)
-      .value_or(false);
+  return oracle_.satisfiable(scratch_constraints_, config_.sat_conflict_budget);
 }
 
 void CompatibleSetEnv::refresh_mask_after_add(std::uint32_t action) {
@@ -240,13 +283,10 @@ rl::StepResult CompatibleSetEnv::step(std::uint32_t action) {
 
   if (result.done) {
     if (config_.reward_mode == RewardMode::EndOfEpisode) {
-      members_ = verify_members(
-          members_, rare_nets_, config_.witness_signatures, config_.eoe_repair_budget,
-          scratch_constraints_, witness_hits_,
-          [&](std::span<const sat::Constraint> constraints) {
-            return oracle_.try_satisfiable(constraints, config_.sat_conflict_budget)
-                .value_or(false);
-          });
+      members_ = verify_members(members_, rare_nets_, config_.witness_signatures,
+                                config_.eoe_repair_budget, oracle_,
+                                config_.sat_conflict_budget, scratch_constraints_,
+                                witness_hits_);
       state_.clear_all();
       for (const std::uint32_t m : members_) state_.set(m);
       result.reward = size_reward(members_.size());
@@ -374,13 +414,6 @@ void CompatibleSetVectorEnv::dispatch(std::size_t jobs,
   }
 }
 
-bool CompatibleSetVectorEnv::solve_joint(std::size_t lane,
-                                         std::span<const sat::Constraint> constraints) {
-  return lane_oracle(lane)
-      .try_satisfiable(constraints, config_.sat_conflict_budget)
-      .value_or(false);
-}
-
 void CompatibleSetVectorEnv::finish_lanes(std::span<const std::size_t> finishing) {
   for (const std::size_t l : finishing) {
     lanes_[l].open = false;
@@ -395,10 +428,10 @@ void CompatibleSetVectorEnv::finish_lanes(std::span<const std::size_t> finishing
     dispatch(finishing.size(), [&](std::size_t k) {
       const std::size_t l = finishing[k];
       std::vector<sat::Constraint> constraints;
-      verified[k] = verify_members(
-          lanes_[l].members, rare_nets_, config_.witness_signatures,
-          config_.eoe_repair_budget, constraints, hits[k],
-          [&](std::span<const sat::Constraint> cs) { return solve_joint(l, cs); });
+      verified[k] = verify_members(lanes_[l].members, rare_nets_,
+                                   config_.witness_signatures, config_.eoe_repair_budget,
+                                   lane_oracle(l), config_.sat_conflict_budget,
+                                   constraints, hits[k]);
     });
     for (std::size_t k = 0; k < finishing.size(); ++k) {
       Lane& lane = lanes_[finishing[k]];
@@ -465,7 +498,8 @@ void CompatibleSetVectorEnv::step(std::span<const std::uint32_t> actions,
   // sequentially or across the pool.
   dispatch(pending.size(), [&](std::size_t k) {
     const std::size_t l = pending[k];
-    verdicts[l] = solve_joint(l, joint_constraints(lanes_[l], actions[l]))
+    verdicts[l] = lane_oracle(l).satisfiable(joint_constraints(lanes_[l], actions[l]),
+                                             config_.sat_conflict_budget)
                       ? Verdict::Accept
                       : Verdict::Reject;
   });
@@ -528,6 +562,13 @@ std::uint64_t CompatibleSetVectorEnv::sat_queries() const {
   std::uint64_t total = 0;
   for (const auto& oracle : oracles_)
     if (oracle) total += oracle->query_count();
+  return total;
+}
+
+std::uint64_t CompatibleSetVectorEnv::sat_unknowns() const {
+  std::uint64_t total = 0;
+  for (const auto& oracle : oracles_)
+    if (oracle) total += oracle->solver_stats().unknowns;
   return total;
 }
 

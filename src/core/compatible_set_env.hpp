@@ -41,7 +41,8 @@ struct EnvConfig {
   /// Episode step cap T. 0 ⇒ min(#rare nets, 128).
   std::size_t max_steps = 0;
   /// Conflict budget per SAT compatibility check (<0 = unlimited). Exhausted
-  /// budget counts as incompatible — conservative, never unsound.
+  /// budget counts as incompatible — conservative, never unsound — and is
+  /// counted in the env's sat_unknowns().
   std::int64_t sat_conflict_budget = 100000;
   /// Reward = |s_{t+1}|^reward_exponent on compatible growth. The paper uses
   /// 2 and notes any power > 1 works (the reward must be convex in |s| so
@@ -102,6 +103,10 @@ class CompatibleSetEnv final : public rl::Env {
 
   /// Number of SAT queries issued so far (Table 1's cost driver).
   std::uint64_t sat_queries() const { return oracle_.query_count(); }
+
+  /// Queries whose conflict budget ran out (Unknown, counted as
+  /// incompatible).
+  std::uint64_t sat_unknowns() const { return oracle_.solver_stats().unknowns; }
 
   /// Joint-satisfiability checks answered by a simulation witness instead of
   /// a SAT call (0 unless config.witness_signatures is set).
@@ -183,6 +188,9 @@ class CompatibleSetVectorEnv final : public rl::VectorEnv {
   /// Total SAT queries across all lanes (Table 1's cost driver).
   std::uint64_t sat_queries() const;
 
+  /// Budget-exhausted (Unknown) queries across all lanes.
+  std::uint64_t sat_unknowns() const;
+
   /// Joint checks answered by the witness sweep instead of a SAT call.
   std::uint64_t witness_hits() const { return witness_hits_; }
 
@@ -209,9 +217,6 @@ class CompatibleSetVectorEnv final : public rl::VectorEnv {
   /// `lane`'s members plus `action` as rare-value constraints.
   std::vector<sat::Constraint> joint_constraints(const Lane& lane,
                                                  std::uint32_t action) const;
-  /// Answers "are these constraints jointly satisfiable" on `lane`'s oracle;
-  /// exhausted budgets report false (conservative).
-  bool solve_joint(std::size_t lane, std::span<const sat::Constraint> constraints);
   /// Closes the terminated lanes. Their EndOfEpisode verifications (longest
   /// satisfiable prefix plus greedy repair, the helper the scalar env uses
   /// too) each read only their lane's state and oracle, so they run across

@@ -37,7 +37,9 @@ class NetlistOracle {
 
   /// Can all constraints hold simultaneously? `conflict_budget` bounds solver
   /// effort (<0 = unlimited); an exhausted budget reports as incompatible via
-  /// Unknown → nullopt in try_satisfiable and false in satisfiable.
+  /// Unknown → nullopt in try_satisfiable and false in satisfiable. Either way
+  /// it is counted in solver_stats().unknowns, so callers that fold it into a
+  /// verdict can still report it.
   bool satisfiable(std::span<const Constraint> constraints,
                    std::int64_t conflict_budget = -1);
 

@@ -90,7 +90,7 @@ bool Solver::root_simplify(std::vector<Lit>& lits) {
 }
 
 bool Solver::add_clause(std::span<const Lit> lits_in) {
-  DETERRENT_ASSERT(decision_level() == 0, "add_clause requires root level");
+  return_to_root();
   if (!ok_) return false;
 
   std::vector<Lit> lits(lits_in.begin(), lits_in.end());
@@ -131,6 +131,11 @@ void Solver::cancel_until(std::uint32_t level) {
   qhead_ = trail_lim_[level];
   trail_.resize(trail_lim_[level]);
   trail_lim_.resize(level);
+}
+
+void Solver::return_to_root() {
+  cancel_until(0);
+  trail_assumptions_.clear();
 }
 
 Solver::CRef Solver::propagate() {
@@ -385,6 +390,13 @@ Solver::Result Solver::solve(std::span<const Lit> assumptions,
   if (max_learnts_ == 0.0)
     max_learnts_ = std::max(4000.0, static_cast<double>(clauses_.size()) * 0.4);
 
+  // Keep the levels of the assumptions this query shares with the last one:
+  // level k + 1 holds assumption k and its consequences, all still valid.
+  std::size_t shared = 0;
+  const std::size_t limit = std::min(trail_assumptions_.size(), assumptions.size());
+  while (shared < limit && trail_assumptions_[shared] == assumptions[shared]) ++shared;
+  cancel_until(static_cast<std::uint32_t>(shared));
+
   const std::uint64_t conflicts_start = stats_.conflicts;
   Result status = Result::Unknown;
   for (std::uint64_t restart = 0; status == Result::Unknown; ++restart) {
@@ -403,7 +415,13 @@ Solver::Result Solver::solve(std::span<const Lit> assumptions,
   }
 
   if (status == Result::Sat) model_.assign(assigns_.begin(), assigns_.end());
-  cancel_until(0);
+  if (status == Result::Unknown) stats_.unknowns++;
+  // Leave the assumption levels on the trail for the next query.
+  const std::size_t keep =
+      std::min<std::size_t>(decision_level(), assumptions.size());
+  cancel_until(static_cast<std::uint32_t>(keep));
+  trail_assumptions_.assign(assumptions.begin(),
+                            assumptions.begin() + static_cast<std::ptrdiff_t>(keep));
 
   // Per-solve deltas of the cumulative counters.
   last_.conflicts = stats_.conflicts - before.conflicts;
@@ -412,6 +430,7 @@ Solver::Result Solver::solve(std::span<const Lit> assumptions,
   last_.restarts = stats_.restarts - before.restarts;
   last_.learnt_clauses = stats_.learnt_clauses - before.learnt_clauses;
   last_.solves = 1;
+  last_.unknowns = stats_.unknowns - before.unknowns;
   return status;
 }
 
@@ -549,6 +568,7 @@ void Solver::heap_sift_down(std::size_t i) {
 }
 
 void Solver::randomize_phases(util::Rng& rng) {
+  return_to_root();
   for (auto& p : polarity_) p = rng.bernoulli(0.5) ? 1 : 0;
 }
 

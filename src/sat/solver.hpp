@@ -18,6 +18,14 @@ namespace deterrent::sat {
 /// assumptions interface for incremental queries. The compatibility oracle
 /// keeps one Solver per netlist and issues thousands of assumption-based
 /// solves against it, accumulating learnt clauses across queries.
+///
+/// Trail reuse: solve() returns with the decision levels of its assumptions
+/// still on the trail (up to the level its search stopped at), and the next
+/// solve() backtracks only to the first assumption that differs. A query that
+/// extends the previous one by one assumption therefore propagates only the
+/// new literal's consequences. add_clause() and randomize_phases() first
+/// return to the root level, so they see the solver exactly as if every
+/// solve() had ended there.
 class Solver {
  public:
   enum class Result { Sat, Unsat, Unknown };
@@ -29,6 +37,8 @@ class Solver {
     std::uint64_t restarts = 0;
     std::uint64_t learnt_clauses = 0;
     std::uint64_t solves = 0;
+    /// Solves that returned Unknown because the conflict budget ran out.
+    std::uint64_t unknowns = 0;
   };
 
   Solver();
@@ -42,7 +52,8 @@ class Solver {
   std::size_t var_count() const { return assigns_.size(); }
 
   /// Adds a clause (empty span ⇒ immediate UNSAT). Returns false when the
-  /// formula is already unsatisfiable at root level.
+  /// formula is already unsatisfiable at root level. Drops the assumption
+  /// trail kept from the last solve() first.
   bool add_clause(std::span<const Lit> lits);
   bool add_clause(std::initializer_list<Lit> lits) {
     return add_clause(std::span<const Lit>(lits.begin(), lits.size()));
@@ -64,6 +75,8 @@ class Solver {
 
   /// Randomizes saved phases; subsequent models differ across equivalent
   /// solves, which diversifies don't-care filling in generated test patterns.
+  /// Drops the assumption trail kept from the last solve() first, so the next
+  /// solve() searches from the root with the new phases.
   void randomize_phases(util::Rng& rng);
 
   /// False once the clause database is contradictory regardless of assumptions.
@@ -112,6 +125,8 @@ class Solver {
   void new_decision_level() { trail_lim_.push_back(static_cast<std::uint32_t>(trail_.size())); }
   void unchecked_enqueue(Lit p, CRef from);
   void cancel_until(std::uint32_t level);
+  /// Backtracks to level 0 and forgets the kept assumption trail.
+  void return_to_root();
 
   // --- search -------------------------------------------------------------
   CRef propagate();
@@ -167,6 +182,9 @@ class Solver {
   std::vector<Lit> trail_;
   std::vector<std::uint32_t> trail_lim_;
   std::size_t qhead_ = 0;
+  // Between solves: the assumptions whose decision levels are still on the
+  // trail; level k + 1 belongs to trail_assumptions_[k].
+  std::vector<Lit> trail_assumptions_;
 
   std::vector<Var> heap_;           // binary max-heap of decision candidates
   std::vector<std::uint32_t> heap_pos_;  // var → heap index, or npos

@@ -25,7 +25,8 @@ struct TrojanSampleConfig {
   unsigned width = 4;        ///< trigger width (Figure 5 sweeps 2–12)
   std::size_t count = 100;   ///< HTs per benchmark, as in §4.1
   /// Candidate triggers whose joint satisfiability check exceeds this budget
-  /// are discarded (they could never be activated in silicon either).
+  /// are discarded like unsatisfiable ones. Such a skip is conservative, not
+  /// a proof: each shows in the caller's `oracle.solver_stats().unknowns`.
   std::int64_t sat_conflict_budget = 100000;
   /// Give up after this many rejected candidates per accepted one.
   std::size_t max_attempts_per_trojan = 500;
@@ -36,7 +37,10 @@ struct TrojanSampleConfig {
 /// HT-infected netlists, verified valid using a Boolean satisfiability
 /// check" of §4.1. Payload nets are chosen so that inserting the payload
 /// creates no combinational cycle. Returns fewer than `count` only when the
-/// circuit genuinely runs out of satisfiable trigger combinations.
+/// circuit genuinely runs out of satisfiable trigger combinations, or when
+/// the conflict budget skipped candidates: a trigger whose check ends Unknown
+/// is dropped and counted in `oracle.solver_stats().unknowns` (compare the
+/// count before and after the call).
 std::vector<Trojan> sample_trojans(const netlist::Netlist& netlist,
                                    std::span<const analysis::RareNet> rare_nets,
                                    const TrojanSampleConfig& config,

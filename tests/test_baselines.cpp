@@ -182,6 +182,24 @@ TEST(Tarmac, PatternsRealizeTheirCliques) {
   }
 }
 
+TEST(Tarmac, ReportsBudgetExhaustedChecks) {
+  // Budget 0 ends every expansion check Unknown: each is counted and treated
+  // as incompatible, so every clique stays at its seed.
+  const Fixture f = make_fixture(27, 300);
+  ASSERT_GE(f.rare.size(), 5u);
+  TarmacConfig cfg;
+  cfg.n_patterns = 6;
+  util::Rng rng(7);
+  const auto normal = run_tarmac(f.netlist, f.rare, f.matrix, cfg, rng);
+  EXPECT_EQ(normal.sat_unknowns, 0u);
+
+  cfg.sat_conflict_budget = 0;
+  util::Rng starved_rng(7);
+  const auto starved = run_tarmac(f.netlist, f.rare, f.matrix, cfg, starved_rng);
+  EXPECT_GT(starved.sat_unknowns, 0u);
+  EXPECT_EQ(starved.max_clique_size, 1u);
+}
+
 TEST(Tarmac, HandlesEmptyRareSet) {
   const Fixture f = make_fixture(28);
   const std::vector<RareNet> empty;

@@ -306,6 +306,66 @@ TEST(Env, WitnessSignaturesPreserveResultsAndCutSatQueries) {
   }
 }
 
+/// A conflict budget of 0 makes every solver call end Unknown before it
+/// searches. Each must be counted (sat_unknowns == sat_queries on both envs),
+/// and none may turn into an admission: with no witnesses and no Sat model to
+/// reuse, every EndOfEpisode set verifies to its start member alone, and no
+/// AllSteps action is accepted.
+TEST(Env, BudgetExhaustedUnknownsAreCountedAndNeverAdmit) {
+  const Fixture f = make_fixture(38, 300);
+  ASSERT_GE(f.rare.size(), 8u);
+  for (const RewardMode mode : {RewardMode::EndOfEpisode, RewardMode::AllSteps}) {
+    SCOPED_TRACE(testing::Message() << "mode=" << static_cast<int>(mode));
+    EnvConfig cfg;
+    cfg.reward_mode = mode;
+    cfg.sat_conflict_budget = 0;
+
+    CompatibleSetEnv env(f.netlist, f.rare, f.matrix, cfg, nullptr);
+    util::Rng rng(21);
+    for (int e = 0; e < 6; ++e) {
+      env.reset(rng);
+      const std::uint32_t start = env.members()[0];
+      while (!env.action_mask().none()) {
+        const auto action = static_cast<std::uint32_t>(env.action_mask().find_first());
+        const auto step = env.step(action);
+        if (mode == RewardMode::AllSteps) EXPECT_EQ(step.reward, 0.0f);
+        if (step.done) break;
+      }
+      ASSERT_EQ(env.members().size(), 1u) << "episode " << e;
+      EXPECT_EQ(env.members()[0], start);
+    }
+    EXPECT_GT(env.sat_queries(), 0u);
+    EXPECT_EQ(env.sat_unknowns(), env.sat_queries());
+
+    constexpr std::size_t kLanes = 3;
+    CompatibleSetVectorEnv venv(f.netlist, f.rare, f.matrix, cfg, nullptr, kLanes);
+    std::vector<std::uint32_t> starts(kLanes);
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      util::Rng lane_rng(31 + l);
+      venv.reset_lane(l, lane_rng);
+      starts[l] = venv.members(l)[0];
+    }
+    util::BitVec active(kLanes);
+    active.set_all();
+    std::vector<std::uint32_t> actions(kLanes, 0);
+    while (!active.none()) {
+      for (std::size_t l = 0; l < kLanes; ++l)
+        if (active.test(l))
+          actions[l] = static_cast<std::uint32_t>(venv.action_mask(l).find_first());
+      venv.step(actions, active);
+      for (std::size_t l = 0; l < kLanes; ++l)
+        if (active.test(l) && (venv.done(l) || venv.action_mask(l).none()))
+          active.set(l, false);
+    }
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      ASSERT_EQ(venv.members(l).size(), 1u) << "lane " << l;
+      EXPECT_EQ(venv.members(l)[0], starts[l]);
+    }
+    EXPECT_GT(venv.sat_queries(), 0u);
+    EXPECT_EQ(venv.sat_unknowns(), venv.sat_queries());
+  }
+}
+
 /// Theorem 3.1 as an executable property: every action accepted by an
 /// unmasked agent is available to (and accepted by) the masked agent from
 /// the same start state.

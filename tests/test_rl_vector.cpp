@@ -14,6 +14,7 @@
 
 #include "analysis/compatibility.hpp"
 #include "analysis/rare_nets.hpp"
+#include "bench_gen/library.hpp"
 #include "bench_gen/random_circuit.hpp"
 #include "core/compatible_set_env.hpp"
 #include "core/set_pool.hpp"
@@ -22,6 +23,7 @@
 #include "rl/mlp.hpp"
 #include "rl/mlp_kernels.hpp"
 #include "rl/ppo.hpp"
+#include "sat/oracle.hpp"
 #include "util/assert.hpp"
 
 namespace deterrent {
@@ -775,6 +777,133 @@ TEST(VectorEnvDifferential, PooledSatDispatchIsBitIdenticalAtEveryLaneCount) {
         run_lockstep_differential(f, cfg, lanes, /*episodes_per_lane=*/2);
       }
     }
+  }
+}
+
+/// The EndOfEpisode terminal verification, computed the plain way: a linear
+/// scan for the longest satisfiable prefix, then one query per remaining
+/// member (greedy repair), every check an unbudgeted query on `oracle`.
+/// Counts the prefix checks into `prefix_queries` and the repair checks into
+/// `repair_queries`.
+std::vector<std::uint32_t> reference_verification(std::span<const std::uint32_t> members,
+                                                  std::span<const RareNet> rare,
+                                                  sat::NetlistOracle& oracle,
+                                                  std::uint64_t& prefix_queries,
+                                                  std::uint64_t& repair_queries) {
+  std::vector<sat::Constraint> constraints;
+  const auto add = [&](std::uint32_t m) {
+    constraints.push_back({rare[m].net, rare[m].rare_value});
+  };
+  std::size_t prefix = 0;
+  for (; prefix < members.size(); ++prefix) {
+    add(members[prefix]);
+    ++prefix_queries;
+    if (!oracle.satisfiable(constraints)) break;
+  }
+  if (prefix == members.size()) return {members.begin(), members.end()};
+  constraints.pop_back();
+  std::vector<std::uint32_t> kept(members.begin(),
+                                  members.begin() + static_cast<std::ptrdiff_t>(prefix));
+  for (std::size_t k = prefix + 1; k < members.size(); ++k) {
+    add(members[k]);
+    ++repair_queries;
+    if (oracle.satisfiable(constraints))
+      kept.push_back(members[k]);
+    else
+      constraints.pop_back();
+  }
+  return kept;
+}
+
+struct VerificationCounts {
+  std::uint64_t queries = 0;         // the env's SAT queries
+  std::uint64_t witness_hits = 0;    // the env's witness-answered checks
+  std::uint64_t prefix_queries = 0;  // the reference's prefix checks
+  std::uint64_t repair_queries = 0;  // the reference's repair checks
+};
+
+/// Plays `episodes` random EndOfEpisode episodes on a 1-lane vector env and
+/// checks every verified set against reference_verification on a separate
+/// oracle.
+VerificationCounts verify_against_reference(const netlist::Netlist& nl,
+                                            std::span<const RareNet> rare,
+                                            const CompatibilityMatrix& matrix,
+                                            const std::vector<util::BitVec>* signatures,
+                                            int episodes) {
+  VerificationCounts counts;
+  EnvConfig cfg;
+  cfg.reward_mode = RewardMode::EndOfEpisode;
+  cfg.witness_signatures = signatures;
+  CompatibleSetVectorEnv venv(nl, rare, matrix, cfg, nullptr, 1);
+  sat::NetlistOracle reference_oracle(nl);
+  util::Rng reset_rng(5);
+  util::Rng action_rng(6);
+  util::BitVec active(1);
+  active.set(0);
+  std::size_t repaired = 0;
+
+  for (int episode = 0; episode < episodes; ++episode) {
+    venv.reset_lane(0, reset_rng);
+    if (venv.action_mask(0).none()) continue;
+    std::vector<std::uint32_t> optimistic(venv.members(0).begin(), venv.members(0).end());
+    for (;;) {
+      const std::uint32_t action[] = {pick_masked_action(venv.action_mask(0), action_rng)};
+      venv.step(action, active);
+      // A pairwise mask admits every chosen action until the terminal check.
+      optimistic.push_back(action[0]);
+      if (venv.done(0)) break;
+      EXPECT_EQ(std::vector<std::uint32_t>(venv.members(0).begin(), venv.members(0).end()),
+                optimistic);
+    }
+    const auto expected = reference_verification(optimistic, rare, reference_oracle,
+                                                 counts.prefix_queries,
+                                                 counts.repair_queries);
+    EXPECT_EQ(std::vector<std::uint32_t>(venv.members(0).begin(), venv.members(0).end()),
+              expected)
+        << "episode " << episode;
+    if (expected.size() < optimistic.size()) ++repaired;
+  }
+  EXPECT_GT(repaired, 0u) << "no episode needed the prefix search or repair";
+  EXPECT_EQ(venv.sat_unknowns(), 0u);
+  counts.queries = venv.sat_queries();
+  counts.witness_hits = venv.witness_hits();
+  return counts;
+}
+
+TEST(VectorEnvDifferential, EndOfEpisodeVerificationMatchesLinearReference) {
+  // Model reuse and trail reuse change how many queries the terminal check
+  // makes, never which set it keeps: every verified set must equal the plain
+  // linear reference. Without model reuse the env would make one query per
+  // repair check plus its prefix search; it must make fewer than the repair
+  // checks alone.
+  const auto bench = bench_gen::load_benchmark("c2670_like");
+  const netlist::Netlist& nl = bench.scan.comb;
+  util::Rng rng(17);
+  analysis::RareNetConfig rcfg;
+  rcfg.sim_patterns = 1 << 14;
+  const std::vector<RareNet> rare = analysis::find_rare_nets(nl, rcfg, rng);
+  ASSERT_GE(rare.size(), 20u);
+  const CompatibilityMatrix matrix = analysis::build_compatibility(nl, rare, {}, rng);
+
+  const auto counts = verify_against_reference(nl, rare, matrix, nullptr, 40);
+  EXPECT_LT(counts.queries, counts.prefix_queries + counts.repair_queries);
+  EXPECT_LT(counts.queries, counts.repair_queries)
+      << "no repair check was answered by a reused model";
+}
+
+TEST(VectorEnvDifferential, WitnessedVerificationMatchesLinearReference) {
+  // With witness signatures, some checks are answered by simulation and the
+  // rest by queries whose models are reused; the sets must still match.
+  for (const std::uint64_t seed : {51u, 52u, 53u}) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    const Fixture f = make_fixture(seed, 300);
+    ASSERT_GE(f.rare.size(), 8u);
+    util::Rng sig_rng(seed + 100);
+    const auto signatures =
+        analysis::rare_activation_signatures(f.netlist, f.rare, 256, sig_rng);
+    const auto counts = verify_against_reference(f.netlist, f.rare, f.matrix, &signatures, 60);
+    EXPECT_GT(counts.witness_hits, 0u);
+    EXPECT_GT(counts.queries, 0u);
   }
 }
 

@@ -188,6 +188,82 @@ TEST(SatFuzz, PlainSolverMatchesBruteForce) {
   ASSERT_GT(instances, 0u);
 }
 
+// Query sequences shaped like the end-of-episode repair, on one solver whose
+// assumption trail carries over between queries: push an assumption, solve,
+// pop it again on Unsat. Mixed in are truncations of the stack (the binary
+// search moving back), budget-1 solves that may end Unknown, clauses added
+// between solves and phase randomization, all of which must drop or reuse
+// the kept trail correctly. Every verdict is checked against brute force,
+// every model against the formula and the assumptions, every core with
+// core_error.
+TEST(SatFuzz, TrailReuseAcrossRepairQueriesMatchesBruteForce) {
+  FuzzBudget budget;
+  std::uint64_t queries = 0;
+  std::uint64_t unknowns = 0;
+  for (std::uint64_t seed = 0; seed < 3000 && !budget.expired(); ++seed) {
+    util::Rng rng(seed * 0x2545f4914f6cdd1dull + 3);
+    Cnf cnf = random_cnf(rng, 6, 12, 2.5);
+    Solver s = make_solver(cnf);
+    std::vector<Lit> assumptions;
+
+    for (int op = 0; op < 24; ++op) {
+      const std::uint64_t kind = rng.below(20);
+      if (kind == 0) {
+        Clause clause;
+        for (int k = 0; k < 3; ++k)
+          clause.push_back(
+              mk_lit(static_cast<Var>(rng.below(cnf.var_count)), rng.bernoulli(0.5)));
+        s.add_clause(clause);
+        cnf.clauses.push_back(std::move(clause));
+        continue;
+      }
+      if (kind == 1) {
+        s.randomize_phases(rng);
+        continue;
+      }
+      if (kind == 2 && !assumptions.empty()) {
+        assumptions.resize(rng.below(assumptions.size()));
+        continue;
+      }
+
+      assumptions.push_back(
+          mk_lit(static_cast<Var>(rng.below(cnf.var_count)), rng.bernoulli(0.5)));
+      const bool budgeted = rng.below(6) == 0;
+      const auto result = s.solve(assumptions, budgeted ? 1 : -1);
+      ++queries;
+
+      Cnf augmented = cnf;
+      for (const Lit a : assumptions) augmented.clauses.push_back({a});
+      const bool expected = brute_force_sat(augmented);
+      if (result == Solver::Result::Unknown) {
+        ASSERT_TRUE(budgeted) << "seed " << seed << " op " << op;
+        ++unknowns;
+        assumptions.pop_back();
+        continue;
+      }
+      ASSERT_EQ(result == Solver::Result::Sat, expected)
+          << "seed " << seed << " op " << op << "\n"
+          << write_dimacs_string(cnf);
+      if (result == Solver::Result::Sat) {
+        ASSERT_TRUE(model_satisfies(s, cnf))
+            << "seed " << seed << " op " << op << ": model violates the formula";
+        for (const Lit a : assumptions)
+          ASSERT_EQ(s.model_value(var_of(a)), !sign_of(a))
+              << "seed " << seed << " op " << op << ": model ignores an assumption";
+      } else {
+        if (brute_force_sat(cnf)) {
+          const std::string error = core_error(s, cnf, assumptions);
+          ASSERT_TRUE(error.empty()) << "seed " << seed << " op " << op << ": " << error;
+        }
+        assumptions.pop_back();
+      }
+    }
+  }
+  RecordProperty("queries", static_cast<int>(queries));
+  RecordProperty("unknowns", static_cast<int>(unknowns));
+  ASSERT_GT(queries, 0u);
+}
+
 // ---------------------------------------------- circuit model replay -------
 
 // Random circuits through the Tseitin encoder: when the solver says a net can

@@ -223,6 +223,86 @@ TEST(Solver, ContradictingAssumptionsUnsatWithCore) {
   EXPECT_EQ(s.solve(), Solver::Result::Sat);
 }
 
+TEST(Solver, AddClauseAfterAnAssumptionSolveReturnsToRoot) {
+  // solve() leaves its assumption levels on the trail; add_clause must drop
+  // them, or the new clause would be simplified against a temporary value.
+  Solver s;
+  s.ensure_vars(3);
+  s.add_clause({mk_lit(0, true), mk_lit(1)});  // a → b
+  const Lit a[] = {mk_lit(0)};
+  ASSERT_EQ(s.solve(a), Solver::Result::Sat);
+  s.add_clause({mk_lit(1, true), mk_lit(2)});  // b → c, with b true under a
+  s.add_clause({mk_lit(2, true)});             // ¬c
+  EXPECT_EQ(s.solve(a), Solver::Result::Unsat);
+  EXPECT_TRUE(s.okay());
+  ASSERT_EQ(s.solve(), Solver::Result::Sat);
+  EXPECT_FALSE(s.model_value(0));
+}
+
+/// A long implication chain x0 → x1 → … → x(n-1) plus free variables: the
+/// assumption x0 alone propagates the whole chain.
+Cnf chain_cnf(std::size_t chain, std::size_t free_vars) {
+  Cnf cnf;
+  cnf.var_count = chain + free_vars;
+  for (Var v = 0; v + 1 < chain; ++v) cnf.clauses.push_back({mk_lit(v, true), mk_lit(v + 1)});
+  return cnf;
+}
+
+TEST(Solver, QueryExtendingTheLastOneReusesItsAssumptionTrail) {
+  // solve(A) then solve(A + {x}) keeps A's level on the trail, so the second
+  // query does not re-propagate the chain that a fresh solver must walk.
+  const Cnf cnf = chain_cnf(200, 20);
+  const Lit first[] = {mk_lit(0)};
+  const Lit extended[] = {mk_lit(0), mk_lit(205, true)};
+
+  Solver reused = make_solver(cnf);
+  ASSERT_EQ(reused.solve(first), Solver::Result::Sat);
+  ASSERT_EQ(reused.solve(extended), Solver::Result::Sat);
+  const std::uint64_t reused_props = reused.last_solve_stats().propagations;
+
+  Solver fresh = make_solver(cnf);
+  ASSERT_EQ(fresh.solve(extended), Solver::Result::Sat);
+  const std::uint64_t fresh_props = fresh.last_solve_stats().propagations;
+
+  EXPECT_LT(reused_props + 150, fresh_props)
+      << "the shared assumption level was re-propagated";
+  for (Var v = 0; v < 200; ++v) EXPECT_TRUE(reused.model_value(v));
+  EXPECT_FALSE(reused.model_value(205));
+}
+
+TEST(Solver, RandomizedPhasesSearchFromTheRoot) {
+  // Pattern extraction calls randomize_phases() before each find_pattern.
+  // The next solve must not start from the kept assumption trail, or the
+  // don't-care fill would depend on the previous query. Reference: the same
+  // sequence with every randomize_phases() preceded by a tautology, which
+  // add_clause ignores after returning to the root.
+  util::Rng cnf_rng(9);
+  Cnf cnf;
+  cnf.var_count = 40;
+  for (int c = 0; c < 60; ++c) {
+    Clause clause;
+    for (int k = 0; k < 3; ++k)
+      clause.push_back(mk_lit(static_cast<Var>(cnf_rng.below(40)), cnf_rng.bernoulli(0.5)));
+    cnf.clauses.push_back(clause);
+  }
+  Solver kept = make_solver(cnf);
+  Solver rooted = make_solver(cnf);
+  util::Rng kept_rng(3);
+  util::Rng rooted_rng(3);
+  std::vector<Lit> assumptions;
+  for (int round = 0; round < 30; ++round) {
+    if (round % 3 == 0) assumptions.push_back(mk_lit(static_cast<Var>(round), round % 2 == 0));
+    kept.randomize_phases(kept_rng);
+    rooted.add_clause({mk_lit(0), mk_lit(0, true)});
+    rooted.randomize_phases(rooted_rng);
+    const auto result = kept.solve(assumptions);
+    ASSERT_EQ(result, rooted.solve(assumptions)) << "round " << round;
+    if (result != Solver::Result::Sat) break;
+    for (Var v = 0; v < 40; ++v)
+      ASSERT_EQ(kept.model_value(v), rooted.model_value(v)) << "round " << round;
+  }
+}
+
 TEST(Solver, IncrementalQueriesAccumulateLearning) {
   // Re-solving under alternating assumptions must stay correct.
   Solver s;
@@ -434,6 +514,25 @@ TEST(SolverStats, CumulativeCountersAreMonotoneAndSumOfDeltas) {
     EXPECT_EQ(last.solves, 1u);
     prev = now;
   }
+}
+
+TEST(SolverStats, UnknownsCountOnlyBudgetGiveUps) {
+  Solver s = make_solver(php_cnf(8, 7));
+  ASSERT_EQ(s.solve({}, 10), Solver::Result::Unknown);
+  EXPECT_EQ(s.last_solve_stats().unknowns, 1u);
+  ASSERT_EQ(s.solve({}, 0), Solver::Result::Unknown);
+  EXPECT_EQ(s.stats().unknowns, 2u);
+
+  const Lit forced[] = {mk_lit(0), mk_lit(7)};  // pigeon 0 and 1 in hole 0
+  ASSERT_EQ(s.solve(forced, 1000), Solver::Result::Unsat);
+  EXPECT_EQ(s.last_solve_stats().unknowns, 0u);
+  EXPECT_EQ(s.stats().unknowns, 2u);
+
+  Solver easy = make_solver(php_cnf(3, 3));
+  ASSERT_EQ(easy.solve({}, 0), Solver::Result::Unknown);
+  ASSERT_EQ(easy.solve(), Solver::Result::Sat);
+  EXPECT_EQ(easy.last_solve_stats().unknowns, 0u);
+  EXPECT_EQ(easy.stats().unknowns, 1u);
 }
 
 TEST(SolverStats, RestartsCountOnlyLubySequenceReentries) {
