@@ -1,5 +1,6 @@
 #include "rl/categorical.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -15,24 +16,26 @@ MaskedCategorical::MaskedCategorical(std::span<const float> logits,
                                      const util::BitVec& mask)
     : mask_(&mask) {
   DETERRENT_ASSERT(logits.size() == mask.size(), "logits/mask size mismatch");
-  DETERRENT_ASSERT(mask.any(), "masked categorical requires a valid action");
 
   const std::size_t n = logits.size();
   probs_.assign(n, 0.0f);
   log_probs_.assign(n, kNegInf);
 
+  // The valid actions, ascending: every pass below walks this one list.
+  valid_ = mask.to_indices();
+  DETERRENT_ASSERT(!valid_.empty(), "masked categorical requires a valid action");
+
   // Numerically stable masked log-softmax.
   float max_logit = kNegInf;
-  for (std::size_t i = mask.find_first(); i < n; i = mask.find_next(i + 1))
-    max_logit = std::max(max_logit, logits[i]);
+  for (const std::uint32_t i : valid_) max_logit = std::max(max_logit, logits[i]);
 
   double z = 0.0;
-  for (std::size_t i = mask.find_first(); i < n; i = mask.find_next(i + 1))
+  for (const std::uint32_t i : valid_)
     z += std::exp(static_cast<double>(logits[i] - max_logit));
   const float log_z = static_cast<float>(std::log(z)) + max_logit;
 
   double h = 0.0;
-  for (std::size_t i = mask.find_first(); i < n; i = mask.find_next(i + 1)) {
+  for (const std::uint32_t i : valid_) {
     const float lp = logits[i] - log_z;
     log_probs_[i] = lp;
     const float p = std::exp(lp);
@@ -53,32 +56,27 @@ float MaskedCategorical::entropy() const { return entropy_; }
 std::uint32_t MaskedCategorical::sample(util::Rng& rng) const {
   const double u = rng.uniform();
   double cdf = 0.0;
-  std::size_t last_valid = 0;
-  for (std::size_t i = mask_->find_first(); i < probs_.size();
-       i = mask_->find_next(i + 1)) {
+  for (const std::uint32_t i : valid_) {
     cdf += probs_[i];
-    last_valid = i;
-    if (u < cdf) return static_cast<std::uint32_t>(i);
+    if (u < cdf) return i;
   }
-  return static_cast<std::uint32_t>(last_valid);  // guard against rounding
+  return valid_.back();  // guard against rounding
 }
 
 std::uint32_t MaskedCategorical::argmax() const {
-  std::size_t best = mask_->find_first();
-  for (std::size_t i = mask_->find_next(best + 1); i < probs_.size();
-       i = mask_->find_next(i + 1))
+  std::uint32_t best = valid_.front();
+  for (const std::uint32_t i : valid_)
     if (probs_[i] > probs_[best]) best = i;
-  return static_cast<std::uint32_t>(best);
+  return best;
 }
 
 void MaskedCategorical::add_grad(std::uint32_t action, float g, float h,
                                  std::span<float> grad) const {
   DETERRENT_ASSERT(grad.size() == probs_.size(), "grad size mismatch");
-  for (std::size_t i = mask_->find_first(); i < probs_.size();
-       i = mask_->find_next(i + 1)) {
+  for (const std::uint32_t i : valid_) {
     const float p = probs_[i];
     float d = -g * p;
-    if (static_cast<std::uint32_t>(i) == action) d += g;
+    if (i == action) d += g;
     if (h != 0.0f && p > 0.0f) d -= h * p * (log_probs_[i] + entropy_);
     grad[i] += d;
   }

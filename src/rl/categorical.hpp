@@ -43,6 +43,7 @@ class MaskedCategorical {
   void add_grad(std::uint32_t action, float g, float h, std::span<float> grad) const;
 
  private:
+  std::vector<std::uint32_t> valid_;  // unmasked actions, ascending
   std::vector<float> probs_;
   std::vector<float> log_probs_;  // -inf (stored as large negative) for masked
   const util::BitVec* mask_;

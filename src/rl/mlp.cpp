@@ -8,6 +8,22 @@
 
 namespace deterrent::rl {
 
+std::size_t append_nonzeros(std::span<const float> row, std::vector<std::uint32_t>& cols,
+                            std::vector<float>& vals, std::size_t used) {
+  if (cols.size() < used + row.size()) {
+    cols.resize(used + row.size());
+    vals.resize(used + row.size());
+  }
+  std::uint32_t* c = cols.data();
+  float* v = vals.data();
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    c[used] = static_cast<std::uint32_t>(i);
+    v[used] = row[i];
+    used += row[i] != 0.0f ? 1 : 0;
+  }
+  return used;
+}
+
 Mlp::Mlp(std::vector<std::size_t> layer_sizes, util::Rng& rng)
     : layer_sizes_(std::move(layer_sizes)),
       kernels_(&kernels::select_mlp_kernels()) {
@@ -87,9 +103,54 @@ void Mlp::backward(std::span<const float> input, const Workspace& ws,
   }
 }
 
-template <typename RowPtrFn>
-std::span<const float> Mlp::forward_batch_impl(RowPtrFn row_ptr, std::size_t rows,
-                                               BatchWorkspace& ws) const {
+std::span<const float> Mlp::forward_batch(std::span<const float> input,
+                                          std::size_t rows,
+                                          BatchWorkspace& ws) const {
+  DETERRENT_ASSERT(input.size() == rows * input_size(),
+                   "Mlp::forward_batch input size mismatch");
+  const std::size_t in0 = input_size();
+  ws.row_off.assign(1, 0);
+  for (std::size_t n = 0; n < rows; ++n)
+    ws.row_off.push_back(static_cast<std::uint32_t>(append_nonzeros(
+        input.subspan(n * in0, in0), ws.row_cols, ws.row_vals, ws.row_off.back())));
+  return forward_recorded_rows(rows, ws);
+}
+
+std::span<const float> Mlp::forward_batch(std::span<const SparseRow> rows,
+                                          BatchWorkspace& ws) const {
+  // Copy each row's list, dropping ±0 values the way the dense scan does.
+  const std::size_t in0 = input_size();
+  ws.row_off.assign(1, 0);
+  for (const SparseRow& row : rows) {
+    DETERRENT_ASSERT(row.cols.size() == row.vals.size(),
+                     "Mlp::forward_batch sparse row cols/vals size mismatch");
+    const std::size_t used = ws.row_off.back();
+    if (ws.row_cols.size() < used + row.cols.size()) {
+      ws.row_cols.resize(used + row.cols.size());
+      ws.row_vals.resize(used + row.cols.size());
+    }
+    std::uint32_t* cols = ws.row_cols.data() + used;
+    float* vals = ws.row_vals.data() + used;
+    std::size_t count = 0;
+    std::size_t next = 0;  // smallest column the next entry may name
+    bool ordered = true;
+    for (std::size_t j = 0; j < row.cols.size(); ++j) {
+      const std::uint32_t c = row.cols[j];
+      ordered &= c >= next && c < in0;
+      next = std::size_t{c} + 1;
+      cols[count] = c;
+      vals[count] = row.vals[j];
+      count += row.vals[j] != 0.0f ? 1 : 0;
+    }
+    DETERRENT_ASSERT(ordered,
+                     "Mlp::forward_batch sparse row columns must ascend below input_size");
+    ws.row_off.push_back(static_cast<std::uint32_t>(used + count));
+  }
+  return forward_recorded_rows(rows.size(), ws);
+}
+
+std::span<const float> Mlp::forward_recorded_rows(std::size_t rows,
+                                                  BatchWorkspace& ws) const {
   constexpr std::size_t kTile = kernels::kMlpLanes;
   DETERRENT_ASSERT(rows > 0, "Mlp::forward_batch needs at least one row");
   ws.rows = rows;
@@ -105,15 +166,13 @@ std::span<const float> Mlp::forward_batch_impl(RowPtrFn row_ptr, std::size_t row
   ws.scratch.resize(kTile * (in0 + 2 * widest));
   float* const xt0 = ws.scratch.data();
   float* const tiles[2] = {xt0 + kTile * in0, xt0 + kTile * (in0 + widest)};
-  // Only nonzero inputs are written into the (zeroed) input tile; each tile
-  // clears what the previous one wrote. The raw observations of this MDP
-  // are mostly-zero indicator vectors, so the first layer also skips the
-  // columns that are zero across the whole tile, and every row's nonzeros
-  // are kept for backward_batch.
+  // Only the recorded nonzeros are written into the (zeroed) input tile;
+  // each tile clears what the previous one wrote. The raw observations of
+  // this MDP are mostly-zero indicator vectors, so the first layer also
+  // skips the columns that are zero across the whole tile.
   std::fill(xt0, xt0 + kTile * in0, 0.0f);
   ws.nz.assign(in0, 0);
   ws.cols.clear();
-  ws.row_off.assign(1, 0);
 
   for (std::size_t n0 = 0; n0 < rows; n0 += kTile) {
     const std::size_t tn = std::min(kTile, rows - n0);
@@ -122,30 +181,12 @@ std::span<const float> Mlp::forward_batch_impl(RowPtrFn row_ptr, std::size_t row
       ws.nz[i] = 0;
     }
     // Transpose the tile to lane-major, so the kernels read both the weight
-    // rows and the input lanes with unit stride. Each row's nonzeros are
-    // listed branch-free first (the buffers only ever grow).
-    for (std::size_t n = 0; n < tn; ++n) {
-      const float* xr = row_ptr(n0 + n);
-      const std::size_t used = ws.row_off.back();
-      if (ws.row_cols.size() < used + in0) {
-        ws.row_cols.resize(used + in0);
-        ws.row_vals.resize(used + in0);
+    // rows and the input lanes with unit stride.
+    for (std::size_t n = 0; n < tn; ++n)
+      for (std::uint32_t j = ws.row_off[n0 + n]; j < ws.row_off[n0 + n + 1]; ++j) {
+        xt0[ws.row_cols[j] * kTile + n] = ws.row_vals[j];
+        ws.nz[ws.row_cols[j]] = 1;
       }
-      std::uint32_t* cols = ws.row_cols.data() + used;
-      float* vals = ws.row_vals.data() + used;
-      std::size_t count = 0;
-      for (std::size_t i = 0; i < in0; ++i) {
-        const float v = xr[i];
-        cols[count] = static_cast<std::uint32_t>(i);
-        vals[count] = v;
-        count += v != 0.0f ? 1 : 0;
-      }
-      for (std::size_t j = 0; j < count; ++j) {
-        xt0[cols[j] * kTile + n] = vals[j];
-        ws.nz[cols[j]] = 1;
-      }
-      ws.row_off.push_back(static_cast<std::uint32_t>(used + count));
-    }
     ws.cols.clear();
     for (std::size_t i = 0; i < in0; ++i)
       if (ws.nz[i] != 0) ws.cols.push_back(static_cast<std::uint32_t>(i));
@@ -166,25 +207,7 @@ std::span<const float> Mlp::forward_batch_impl(RowPtrFn row_ptr, std::size_t row
   return ws.post.back();
 }
 
-std::span<const float> Mlp::forward_batch(std::span<const float> input,
-                                          std::size_t rows,
-                                          BatchWorkspace& ws) const {
-  DETERRENT_ASSERT(input.size() == rows * input_size(),
-                   "Mlp::forward_batch input size mismatch");
-  const std::size_t in = input_size();
-  const float* base = input.data();
-  return forward_batch_impl([base, in](std::size_t n) { return base + n * in; },
-                            rows, ws);
-}
-
-std::span<const float> Mlp::forward_batch(const float* const* row_ptrs,
-                                          std::size_t rows,
-                                          BatchWorkspace& ws) const {
-  return forward_batch_impl([row_ptrs](std::size_t n) { return row_ptrs[n]; },
-                            rows, ws);
-}
-
-void Mlp::backward_batch(const BatchWorkspace& ws, std::span<const float> output_grads) {
+void Mlp::backward_batch(BatchWorkspace& ws, std::span<const float> output_grads) {
   constexpr std::size_t kTile = kernels::kMlpLanes;
   const std::size_t rows = ws.rows;
   DETERRENT_ASSERT(rows > 0 && ws.post.size() == layers_.size() &&
@@ -193,37 +216,54 @@ void Mlp::backward_batch(const BatchWorkspace& ws, std::span<const float> output
   DETERRENT_ASSERT(output_grads.size() == rows * output_size(),
                    "Mlp::backward_batch output grad size mismatch");
 
-  std::vector<float> grad(output_grads.begin(), output_grads.end());
+  // grad holds dL/d(pre-activation) of layer l (rows × out): the output
+  // layer is linear, and each hidden layer's tanh derivative is applied by
+  // the layer above it.
+  std::size_t l = layers_.size() - 1;
+  const float* grad = output_grads.data();
+  std::vector<float> grad_buf;
   std::vector<float> prev_grad;
-  for (std::size_t l = layers_.size(); l-- > 0;) {
-    auto& layer = layers_[l];
-
-    // Pass 1 — weight/bias gradients, rows ascending per element, matching
-    // row-by-row backward(). Hidden layers run the register-blocked kernel
-    // over row tiles, so the x tile stays L1-resident while each gw row
-    // streams through once per tile.
-    if (l == 0) {
-      backward_first_layer(ws, grad.data());
-    } else {
-      const float* x = ws.post[l - 1].data();
-      for (std::size_t n0 = 0; n0 < rows; n0 += kTile)
-        kernels_->grad_weights(grad.data() + n0 * layer.out, x + n0 * layer.in,
-                               std::min(kTile, rows - n0), layer.in, layer.out,
-                               layer.gw.data(), layer.gb.data());
-    }
-
-    // Pass 2 — input gradients, chained through the previous layer's tanh.
-    // Per element the terms accumulate in ascending output index, exactly
-    // like backward(). The first layer has no upstream to feed, so the pass
-    // is skipped there (backward() computes and discards it).
-    if (l > 0) {
-      prev_grad.resize(rows * layer.in);
-      kernels_->grad_inputs(grad.data(), layer.w.data(), rows, layer.in, layer.out,
-                            ws.post[l - 1].data(), prev_grad.data());
-      grad = std::move(prev_grad);
-      prev_grad = {};
-    }
+  if (l > 0) {
+    backward_output_layer(ws, grad, grad_buf);
+    grad = grad_buf.data();
+    --l;
   }
+  for (; l > 0; --l) {
+    auto& layer = layers_[l];
+    // Weight/bias gradients over row tiles (rows ascending per element), so
+    // the x tile stays L1-resident while each gw row streams through once
+    // per tile; then the input gradients (outputs ascending per element),
+    // chained through the previous layer's tanh.
+    const float* x = ws.post[l - 1].data();
+    for (std::size_t n0 = 0; n0 < rows; n0 += kTile)
+      kernels_->grad_weights(grad + n0 * layer.out, x + n0 * layer.in,
+                             std::min(kTile, rows - n0), layer.in, layer.out,
+                             layer.gw.data(), layer.gb.data());
+    prev_grad.resize(rows * layer.in);
+    kernels_->grad_inputs(grad, layer.w.data(), rows, layer.in, layer.out, x,
+                          prev_grad.data());
+    grad_buf.swap(prev_grad);
+    grad = grad_buf.data();
+  }
+  backward_first_layer(ws, grad);
+}
+
+void Mlp::backward_output_layer(BatchWorkspace& ws, const float* output_grads,
+                                std::vector<float>& grad) {
+  // A g == ±0 entry is exactly a term backward() skips, so listing each
+  // row's nonzero output gradients gives the fused kernel the same terms in
+  // the same order.
+  auto& layer = layers_.back();
+  const std::size_t out = layer.out;
+  ws.grad_off.assign(1, 0);
+  for (std::size_t n = 0; n < ws.rows; ++n)
+    ws.grad_off.push_back(static_cast<std::uint32_t>(
+        append_nonzeros(std::span<const float>(output_grads + n * out, out), ws.grad_idx,
+                        ws.grad_vals, ws.grad_off.back())));
+  grad.resize(ws.rows * layer.in);
+  kernels_->output_backward(ws.grad_off.data(), ws.grad_idx.data(), ws.grad_vals.data(),
+                            ws.post[layers_.size() - 2].data(), layer.w.data(), ws.rows,
+                            layer.in, layer.gw.data(), layer.gb.data(), grad.data());
 }
 
 void Mlp::backward_first_layer(const BatchWorkspace& ws, const float* grad) {

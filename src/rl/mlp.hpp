@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -19,6 +20,14 @@ struct ParamRef {
   float* grads = nullptr;
   std::size_t size = 0;
 };
+
+/// Lists the nonzero entries of `row` (±0 counts as zero) into cols/vals
+/// from index `used` on, columns ascending, and returns the end of the
+/// list. Branch-free: every column is written and only nonzeros advance, so
+/// the vectors grow to at least used + row.size() and the entries past the
+/// returned end are scratch.
+std::size_t append_nonzeros(std::span<const float> row, std::vector<std::uint32_t>& cols,
+                            std::vector<float>& vals, std::size_t used);
 
 /// Fully connected multi-layer perceptron with tanh hidden activations and a
 /// linear output layer — the policy/value network architecture of the paper's
@@ -58,11 +67,24 @@ class Mlp {
     std::vector<std::uint32_t> cols;       ///< layer-0 tile: nonzero column list
     /// Per input row, its nonzero columns (ascending) and their values:
     /// row n owns [row_off[n], row_off[n+1]) (entries past row_off.back()
-    /// are stale). Recorded by forward_batch for backward_batch's
-    /// first-layer weight gradient.
+    /// are stale). Recorded by forward_batch; the first layer's forward
+    /// tiles and backward_batch's first-layer weight gradient read them.
     std::vector<std::uint32_t> row_cols;
     std::vector<float> row_vals;
     std::vector<std::uint32_t> row_off;
+    /// backward_batch's per-row nonzero output gradients, in the same
+    /// [off[n], off[n+1]) layout: the output layer's sparse input.
+    std::vector<std::uint32_t> grad_idx;
+    std::vector<float> grad_vals;
+    std::vector<std::uint32_t> grad_off;
+  };
+
+  /// One input row given by its nonzero entries: vals[j] sits at column
+  /// cols[j], columns strictly ascending and below input_size(). Every
+  /// other column is zero.
+  struct SparseRow {
+    std::span<const std::uint32_t> cols;
+    std::span<const float> vals;
   };
 
   /// Computes outputs for `rows` stacked observations (row-major, rows ×
@@ -84,28 +106,31 @@ class Mlp {
   std::span<const float> forward_batch(std::span<const float> input,
                                        std::size_t rows, BatchWorkspace& ws) const;
 
-  /// Row-pointer variant: row r's observation lives at row_ptrs[r] (each
-  /// input_size() floats). Bit-identical to gathering the rows into one
-  /// contiguous buffer and calling the span overload — the batched trainer
-  /// feeds shuffled minibatch rows and per-lane observations directly,
-  /// skipping that gather copy. Thread-safe.
-  std::span<const float> forward_batch(const float* const* row_ptrs,
-                                       std::size_t rows, BatchWorkspace& ws) const;
+  /// Sparse-row variant: row r is rows[r]'s nonzero list. Bit-identical to
+  /// the span overload on the same rows written out densely (an entry whose
+  /// value is ±0 counts as absent, as a dense zero does) — the trainer keeps
+  /// each observation as its nonzero list, so neither the collector nor the
+  /// minibatch passes rescan or copy dense rows. Thread-safe.
+  std::span<const float> forward_batch(std::span<const SparseRow> rows,
+                                       BatchWorkspace& ws) const;
 
   /// Batch counterpart of backward(): accumulates parameter gradients for the
   /// row-major rows × output_grads, given the workspace of the matching
   /// forward_batch(), which holds the activations and each input row's
-  /// nonzeros. Two exact passes per layer: weight/bias gradients (rows
-  /// ascending per parameter element, matching row-by-row backward()), then
-  /// the input gradients (terms ascending in output index per element, also
-  /// matching) — skipped entirely for the first layer, where backward()
-  /// computes and discards them. Both run register-blocked kernels that keep
-  /// a block of accumulators in registers across rows (or outputs). The first
-  /// layer's weight-gradient pass walks the per-row nonzero columns of the
-  /// mostly-zero observations; skipping a g·(±0) term is exact because a
-  /// gradient accumulator never holds −0.0f (it starts at +0 and
-  /// round-to-nearest keeps every zero-valued sum at +0).
-  void backward_batch(const BatchWorkspace& ws, std::span<const float> output_grads);
+  /// nonzeros (its gradient lists are reused as scratch). Every element
+  /// takes the same terms in the same order as row-by-row backward():
+  /// weight/bias gradients rows ascending, input gradients outputs
+  /// ascending, and every g == 0 term skipped. The output layer runs one
+  /// fused row-outer pass over each row's nonzero output gradients — under
+  /// action masking most of a policy row is exact zeros, which this pass
+  /// never visits. Hidden layers run two register-blocked passes (weight
+  /// gradients over row tiles, then input gradients), and the first layer
+  /// walks the per-row nonzero columns of the mostly-zero observations and
+  /// computes no input gradient (backward() computes and discards it).
+  /// Skipping a g·(±0) term is exact because a gradient accumulator never
+  /// holds −0.0f (it starts at +0 and round-to-nearest keeps every
+  /// zero-valued sum at +0).
+  void backward_batch(BatchWorkspace& ws, std::span<const float> output_grads);
 
   void zero_grad();
 
@@ -129,11 +154,14 @@ class Mlp {
   void set_flat_params(std::span<const float> flat);
 
  private:
-  /// Shared implementation of forward_batch over a row accessor (contiguous
-  /// span or scattered row pointers); instantiated in mlp.cpp.
-  template <typename RowPtrFn>
-  std::span<const float> forward_batch_impl(RowPtrFn row_ptr, std::size_t rows,
-                                            BatchWorkspace& ws) const;
+  /// The tiled forward over the per-row nonzero lists both forward_batch
+  /// overloads record in ws.
+  std::span<const float> forward_recorded_rows(std::size_t rows,
+                                               BatchWorkspace& ws) const;
+  /// Output-layer backward_batch step (networks with a hidden layer): writes
+  /// dL/d(pre-activation) of the last hidden layer into `grad`.
+  void backward_output_layer(BatchWorkspace& ws, const float* output_grads,
+                             std::vector<float>& grad);
   /// Layer-0 weight/bias gradients of backward_batch (sparse observations).
   void backward_first_layer(const BatchWorkspace& ws, const float* grad);
 

@@ -22,9 +22,12 @@
 // interleaves independent chains: each element still takes its terms in
 // ascending input index (the nonzero-column list on layer 0) in the forward
 // pass, in ascending row order for weight gradients, and in ascending output
-// index for input gradients. This is what keeps the batched trainer
-// bit-identical to the per-sample one on every backend, and all backends
-// bit-identical to each other.
+// index for input gradients. A kernel that takes a nonzero list (layer-0
+// columns, output_backward's gradients) visits the listed terms in that
+// same order, and skips only terms the reference skips or terms that add a
+// signed zero to an accumulator that never holds -0.0f. This is what keeps
+// the batched trainer bit-identical to the per-sample one on every backend,
+// and all backends bit-identical to each other.
 //
 // tanh is fdlibm's tanhf (the code glibc's tanhf runs) ported operation for
 // operation, so results do not depend on the host libm: tanh_fdlibm is the
@@ -92,6 +95,24 @@ struct MlpKernelTable {
   ///                  * (1 - post[n*in+i] * post[n*in+i]).
   void (*grad_inputs)(const float* g, const float* w, std::size_t rows,
                       std::size_t in, std::size_t out, const float* post, float* dx);
+
+  /// The output layer's whole backward in one row-outer pass over sparse
+  /// output gradients. Row n's nonzero gradients are g_val[j] at outputs
+  /// g_idx[j] for j in [g_off[n], g_off[n+1]), outputs ascending; x is the
+  /// previous layer's tanh output (rows×in). For n ascending and each such
+  /// j ascending, with o = g_idx[j] and g = g_val[j]:
+  ///   gw[o*in + i] += g * x[n*in + i]  for every i,   gb[o] += g,
+  /// and dx[n*in + i] = (+0 + Σ_j g * w[o*in + i]) * (1 - x[n*in+i]²).
+  /// Per element these are exactly grad_weights' terms (rows ascending) and
+  /// grad_inputs' terms (outputs ascending) when the lists hold every
+  /// nonzero of a dense g; the masked zeros are simply never visited. The
+  /// dense kernels stay for hidden layers: their gradients are dense, and
+  /// the row tiles keep gw in registers where this pass loads and stores it
+  /// once per row (1.3-1.7x slower on a dense 64 -> 64 layer).
+  void (*output_backward)(const std::uint32_t* g_off, const std::uint32_t* g_idx,
+                          const float* g_val, const float* x, const float* w,
+                          std::size_t rows, std::size_t in, float* gw, float* gb,
+                          float* dx);
 
   /// Per-step constants of the Adam update, precomputed once per step() call.
   struct AdamArgs {

@@ -41,6 +41,7 @@ constinit const MlpKernelTable kScalarTable{MlpIsa::Scalar,
                                             &grad_weights_kernel<Base>,
                                             &grad_weights_cols_kernel<Base>,
                                             &grad_inputs_kernel<Base>,
+                                            &output_backward_kernel<Base>,
                                             &adam_step_scalar};
 
 const MlpKernelTable* table_or_null(MlpIsa isa) {

@@ -79,6 +79,7 @@ constinit const MlpKernelTable kTable{MlpIsa::Avx2,
                                       &grad_weights_kernel<Wide>,
                                       &grad_weights_cols_kernel<Wide>,
                                       &grad_inputs_kernel<Wide>,
+                                      &output_backward_kernel<Wide>,
                                       &adam_step_avx2};
 
 }  // namespace

@@ -405,5 +405,62 @@ void grad_inputs_kernel(const float* g, const float* w, std::size_t rows, std::s
     grad_inputs_span<V, 8>(g + n * out, w, in, out, post + n * in, 0, dx + n * in);
 }
 
+/// One row of the output-layer backward over C registers of i: for each of
+/// the row's nonzero output gradients (outputs ascending), the gw row takes
+/// its g·x term and the input-gradient accumulator its g·w term; then the
+/// tanh derivative. The x chunk stays in registers across the outputs.
+template <class V, std::size_t C>
+void output_backward_span(const std::uint32_t* idx, const float* gv, std::size_t nnz,
+                          const float* x, const float* w, std::size_t in, std::size_t i0,
+                          float* gw, float* dx) {
+  using F = typename V::F;
+  constexpr std::size_t L = V::kWidth;
+  for (; i0 + C * L <= in; i0 += C * L) {
+    F xr[C], a[C];
+    for (std::size_t c = 0; c < C; ++c) {
+      xr[c] = V::load(x + i0 + c * L);
+      a[c] = F{};
+    }
+    for (std::size_t j = 0; j < nnz; ++j) {
+      const float g = gv[j];
+      float* gr = gw + static_cast<std::size_t>(idx[j]) * in + i0;
+      const float* wr = w + static_cast<std::size_t>(idx[j]) * in + i0;
+      for (std::size_t c = 0; c < C; ++c) {
+        V::store(gr + c * L, V::load(gr + c * L) + g * xr[c]);
+        a[c] += g * V::load(wr + c * L);
+      }
+    }
+    for (std::size_t c = 0; c < C; ++c)
+      V::store(dx + i0 + c * L, a[c] * (1.0f - xr[c] * xr[c]));
+  }
+  if constexpr (C > 1) {
+    output_backward_span<V, C / 2>(idx, gv, nnz, x, w, in, i0, gw, dx);
+  } else {
+    for (std::size_t i = i0; i < in; ++i) {
+      float a = 0.0f;
+      for (std::size_t j = 0; j < nnz; ++j) {
+        const std::size_t o = idx[j];
+        gw[o * in + i] += gv[j] * x[i];
+        a += gv[j] * w[o * in + i];
+      }
+      dx[i] = a * (1.0f - x[i] * x[i]);
+    }
+  }
+}
+
+template <class V>
+void output_backward_kernel(const std::uint32_t* g_off, const std::uint32_t* g_idx,
+                            const float* g_val, const float* x, const float* w,
+                            std::size_t rows, std::size_t in, float* gw, float* gb,
+                            float* dx) {
+  for (std::size_t n = 0; n < rows; ++n) {
+    const std::size_t begin = g_off[n];
+    const std::size_t nnz = g_off[n + 1] - begin;
+    output_backward_span<V, 8>(g_idx + begin, g_val + begin, nnz, x + n * in, w, in, 0,
+                               gw, dx + n * in);
+    for (std::size_t j = begin; j < begin + nnz; ++j) gb[g_idx[j]] += g_val[j];
+  }
+}
+
 }  // namespace
 }  // namespace deterrent::rl::kernels

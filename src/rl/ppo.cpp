@@ -96,6 +96,19 @@ void PpoTrainer::restore(const TrainerState& state) {
   total_episodes_ = state.total_episodes;
 }
 
+Mlp::SparseRow PpoTrainer::EpisodeBuffer::append_observation(std::span<const float> obs) {
+  obs_off.push_back(
+      static_cast<std::uint32_t>(append_nonzeros(obs, obs_cols, obs_vals, obs_off.back())));
+  return observation(obs_off.size() - 2);
+}
+
+Mlp::SparseRow PpoTrainer::EpisodeBuffer::observation(std::size_t t) const {
+  const std::size_t begin = obs_off[t];
+  const std::size_t count = obs_off[t + 1] - begin;
+  return {std::span<const std::uint32_t>(obs_cols).subspan(begin, count),
+          std::span<const float>(obs_vals).subspan(begin, count)};
+}
+
 util::Rng PpoTrainer::episode_rng(std::uint64_t index) const {
   return seeded_rng(seed_, kEpisodeStreamBase + index);
 }
@@ -136,7 +149,7 @@ void PpoTrainer::collect(std::vector<EpisodeBuffer>& episodes) {
 
   util::BitVec active(n_lanes);
   std::vector<std::uint32_t> actions(n_lanes, 0);
-  std::vector<const float*> row_ptrs;  // active lanes' observations, in order
+  std::vector<Mlp::SparseRow> obs_rows;  // active lanes' observations, in order
   Mlp::BatchWorkspace policy_ws;
   Mlp::BatchWorkspace value_ws;
 
@@ -150,19 +163,17 @@ void PpoTrainer::collect(std::vector<EpisodeBuffer>& episodes) {
       }
     if (rows == 0) break;
 
-    // Feed the lanes' observation storage to the batched passes directly —
-    // the row-pointer overload reads it in place, no gather copy.
-    row_ptrs.resize(rows);
-    std::size_t r = 0;
-    for (std::size_t l = 0; l < n_lanes; ++l) {
-      if (current[l] == kIdle) continue;
-      row_ptrs[r] = venv.observation(l).data();
-      ++r;
-    }
-    const auto logits = policy_.forward_batch(row_ptrs.data(), rows, policy_ws);
-    const auto values = value_.forward_batch(row_ptrs.data(), rows, value_ws);
+    // Each lane's observation is scanned once, into its episode buffer's
+    // nonzero lists, and both networks read those lists. Every episode
+    // takes one row per step, so the views stay valid through the step.
+    obs_rows.clear();
+    for (std::size_t l = 0; l < n_lanes; ++l)
+      if (current[l] != kIdle)
+        obs_rows.push_back(episodes[current[l]].append_observation(venv.observation(l)));
+    const auto logits = policy_.forward_batch(obs_rows, policy_ws);
+    const auto values = value_.forward_batch(obs_rows, value_ws);
 
-    r = 0;
+    std::size_t r = 0;
     for (std::size_t l = 0; l < n_lanes; ++l) {
       if (current[l] == kIdle) continue;
       EpisodeBuffer& buf = episodes[current[l]];
@@ -171,8 +182,6 @@ void PpoTrainer::collect(std::vector<EpisodeBuffer>& episodes) {
       const std::uint32_t action = dist.sample(lane_rng[l]);
       buf.log_probs.push_back(dist.log_prob(action));
       buf.values.push_back(values[r]);
-      const auto obs = venv.observation(l);
-      buf.observations.emplace_back(obs.begin(), obs.end());
       buf.masks.push_back(std::move(mask));
       buf.actions.push_back(action);
       actions[l] = action;
@@ -218,7 +227,7 @@ PpoUpdateStats PpoTrainer::update() {
 
   // ---- advantage estimation ------------------------------------------------
   PpoUpdateStats stats;
-  std::vector<const std::vector<float>*> all_obs;
+  std::vector<Mlp::SparseRow> all_obs;
   std::vector<const util::BitVec*> all_masks;
   std::vector<std::uint32_t> all_actions;
   std::vector<float> all_old_logp;
@@ -235,7 +244,7 @@ PpoUpdateStats PpoTrainer::update() {
     const GaeResult gae =
         compute_gae(ep.rewards, ep.values, config_.gamma, config_.gae_lambda);
     for (std::size_t t = 0; t < len; ++t) {
-      all_obs.push_back(&ep.observations[t]);
+      all_obs.push_back(ep.observation(t));
       all_masks.push_back(&ep.masks[t]);
       all_actions.push_back(ep.actions[t]);
       all_old_logp.push_back(ep.log_probs[t]);
@@ -261,7 +270,7 @@ PpoUpdateStats PpoTrainer::update() {
 
   Mlp::BatchWorkspace policy_bws;
   Mlp::BatchWorkspace value_bws;
-  std::vector<const float*> row_ptrs;  // minibatch rows, shuffled order
+  std::vector<Mlp::SparseRow> batch_obs;  // minibatch rows, shuffled order
   std::vector<float> batch_pol_grad;
   std::vector<float> batch_val_grad;
   const std::size_t act_dim = policy_.output_size();
@@ -283,13 +292,12 @@ PpoUpdateStats PpoTrainer::update() {
       policy_.zero_grad();
       value_.zero_grad();
 
-      // The shuffled minibatch rows stay in their episode buffers; the
-      // row-pointer overloads read them in place (no gather copy).
-      row_ptrs.resize(rows);
-      for (std::size_t k = start; k < end; ++k)
-        row_ptrs[k - start] = all_obs[order[k]]->data();
-      const auto logits_all = policy_.forward_batch(row_ptrs.data(), rows, policy_bws);
-      const auto values_all = value_.forward_batch(row_ptrs.data(), rows, value_bws);
+      // The shuffled minibatch rows stay in their episode buffers as nonzero
+      // lists; the sparse-row overloads read them in place.
+      batch_obs.resize(rows);
+      for (std::size_t k = start; k < end; ++k) batch_obs[k - start] = all_obs[order[k]];
+      const auto logits_all = policy_.forward_batch(batch_obs, policy_bws);
+      const auto values_all = value_.forward_batch(batch_obs, value_bws);
       batch_pol_grad.assign(rows * act_dim, 0.0f);
       batch_val_grad.assign(rows, 0.0f);
 

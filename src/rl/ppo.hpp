@@ -119,12 +119,22 @@ class PpoTrainer {
 
  private:
   struct EpisodeBuffer {
-    std::vector<std::vector<float>> observations;
+    /// Step t's observation as its nonzero list: columns (ascending) and
+    /// values [obs_off[t], obs_off[t+1]) of obs_cols/obs_vals (entries past
+    /// obs_off.back() are scratch).
+    std::vector<std::uint32_t> obs_cols;
+    std::vector<float> obs_vals;
+    std::vector<std::uint32_t> obs_off{0};
     std::vector<util::BitVec> masks;
     std::vector<std::uint32_t> actions;
     std::vector<float> log_probs;
     std::vector<float> rewards;
     std::vector<float> values;
+
+    /// Appends `obs` as the next step's nonzero list (one scan) and returns
+    /// the view of it, valid until the next append.
+    Mlp::SparseRow append_observation(std::span<const float> obs);
+    Mlp::SparseRow observation(std::size_t t) const;
   };
 
   void collect(std::vector<EpisodeBuffer>& episodes);

@@ -21,8 +21,10 @@ std::size_t BitVec::find_next(std::size_t from) const {
 std::vector<std::uint32_t> BitVec::to_indices() const {
   std::vector<std::uint32_t> out;
   out.reserve(count());
-  for (std::size_t i = find_first(); i < n_bits_; i = find_next(i + 1))
-    out.push_back(static_cast<std::uint32_t>(i));
+  // Word by word, lowest set bit first (bits past n_bits_ are always clear).
+  for (std::size_t w = 0; w < words_.size(); ++w)
+    for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1)
+      out.push_back(static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits)));
   return out;
 }
 

@@ -105,6 +105,28 @@ TEST(Mlp, BackwardAccumulates) {
 
 // ---------------------------------------------------------------- Adam -----
 
+// A sparse row names its nonzero columns strictly ascending and in range;
+// anything else is a caller bug and stops the process before any tile is
+// written.
+TEST(MlpDeath, SparseRowRejectsUnorderedOrOutOfRangeColumns) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  util::Rng rng(3);
+  const Mlp net({4, 5, 2}, rng);
+  const std::vector<float> vals{1.0f, 1.0f};
+  for (const std::vector<std::uint32_t>& cols :
+       {std::vector<std::uint32_t>{2, 1}, std::vector<std::uint32_t>{1, 1},
+        std::vector<std::uint32_t>{0, 4}}) {
+    const Mlp::SparseRow row{cols, vals};
+    Mlp::BatchWorkspace ws;
+    EXPECT_DEATH(net.forward_batch(std::span<const Mlp::SparseRow>(&row, 1), ws),
+                 "ascend");
+  }
+  const std::vector<std::uint32_t> ok_cols{1, 3};
+  const Mlp::SparseRow ok{ok_cols, vals};
+  Mlp::BatchWorkspace ws;
+  EXPECT_EQ(net.forward_batch(std::span<const Mlp::SparseRow>(&ok, 1), ws).size(), 2u);
+}
+
 TEST(Adam, DescendsQuadratic) {
   // Minimize f(w) = Σ (w_i - t_i)² with gradients fed manually.
   std::vector<float> w(4, 0.0f);

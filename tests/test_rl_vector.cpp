@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -174,49 +175,134 @@ TEST(MlpBatch, BackwardBatchMatchesPerRowAccumulationBitIdentically) {
   });
 }
 
-// The row-pointer overloads feed scattered rows (the trainer passes shuffled
-// minibatch rows and per-lane observations in place); they must match the
-// contiguous-span overloads bit for bit.
-TEST(MlpBatch, RowPointerOverloadsMatchContiguousBitIdentically) {
-  const std::vector<std::size_t> shape{11, 16, 4};
-  util::Rng init(9);
-  Mlp span_net(shape, init);
-  Mlp ptr_net(shape, init);
-  ptr_net.copy_params_from(span_net);
+// The output layer's fused backward visits only each row's nonzero output
+// gradients. Masked policy gradients are mostly exact zeros: all-zero rows,
+// a column that is zero in every row (an action masked throughout), and
+// -0.0f entries, which backward() skips like +0. Every weight and bias
+// gradient must still match per-row backward() bit for bit.
+TEST(MlpBatch, MaskedOutputGradientsMatchPerRowBackward) {
+  std::vector<std::vector<std::size_t>> shapes = {{9, 24, 24, 40}, {12, 33, 7}};
+  shapes.insert(shapes.end(), ragged_shapes().begin(), ragged_shapes().end());
+  for_each_mlp_backend([&](rl::kernels::MlpIsa isa) {
+    for (const auto& shape : shapes) {
+      util::Rng init(shape.front() * 17 + shape.back());
+      Mlp batch_net(shape, init);
+      Mlp row_net(shape, init);
+      row_net.copy_params_from(batch_net);
+      const std::size_t in = shape.front();
+      const std::size_t out = shape.back();
 
-  for (const std::size_t rows : {1u, 16u, 21u}) {
-    util::Rng data(rows * 53 + 1);
-    std::vector<float> input = random_input(rows * shape.front(), data);
-    for (std::size_t i = 0; i < input.size(); ++i)
-      if (data.below(10) < 6) input[i] = 0.0f;  // sparse layer-0 path
-    const std::vector<float> grads = random_input(rows * shape.back(), data);
-    // Reversed storage order: the pointers, not the layout, define the rows.
-    std::vector<std::vector<float>> scattered(rows);
-    std::vector<const float*> row_ptrs(rows);
-    for (std::size_t r = 0; r < rows; ++r) {
-      const auto* base = input.data() + r * shape.front();
-      scattered[rows - 1 - r].assign(base, base + shape.front());
-      row_ptrs[r] = scattered[rows - 1 - r].data();
+      for (const std::size_t rows : {1u, 16u, 33u, 256u}) {
+        util::Rng data(rows * 71 + out);
+        std::vector<float> input = random_input(rows * in, data);
+        for (auto& x : input)
+          if (data.below(10) < 6) x = 0.0f;
+        std::vector<float> grads = random_input(rows * out, data);
+        std::size_t zeros = 0;
+        for (std::size_t n = 0; n < rows; ++n)
+          for (std::size_t o = 0; o < out; ++o) {
+            float& g = grads[n * out + o];
+            if (n % 5 == 2 || o == out / 2 || data.below(10) < 6)
+              g = data.below(2) == 0 ? 0.0f : -0.0f;
+            zeros += g == 0.0f ? 1 : 0;
+          }
+        ASSERT_GE(zeros * 10, grads.size() * 6);
+
+        batch_net.zero_grad();
+        Mlp::BatchWorkspace bws;
+        batch_net.forward_batch(input, rows, bws);
+        batch_net.backward_batch(bws, grads);
+
+        row_net.zero_grad();
+        Mlp::Workspace ws;
+        for (std::size_t r = 0; r < rows; ++r) {
+          const auto x = std::span<const float>(input).subspan(r * in, in);
+          row_net.forward(x, ws);
+          row_net.backward(x, ws, std::span<const float>(grads).subspan(r * out, out));
+        }
+
+        const auto batch_params = batch_net.params();
+        const auto row_params = row_net.params();
+        ASSERT_EQ(batch_params.size(), row_params.size());
+        for (std::size_t p = 0; p < batch_params.size(); ++p)
+          for (std::size_t i = 0; i < batch_params[p].size; ++i)
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(batch_params[p].grads[i]),
+                      std::bit_cast<std::uint32_t>(row_params[p].grads[i]))
+                << rl::kernels::to_string(isa) << " shape[0]=" << in
+                << " rows=" << rows << " tensor=" << p << " elem=" << i;
+      }
     }
+  });
+}
 
-    Mlp::BatchWorkspace span_ws, ptr_ws;
-    const auto span_out = span_net.forward_batch(input, rows, span_ws);
-    const auto ptr_out = ptr_net.forward_batch(row_ptrs.data(), rows, ptr_ws);
-    ASSERT_EQ(span_out.size(), ptr_out.size());
-    for (std::size_t i = 0; i < span_out.size(); ++i)
-      ASSERT_EQ(span_out[i], ptr_out[i]) << "rows=" << rows << " elem=" << i;
+// The sparse-row overload takes each row as its nonzero list (the trainer
+// stores observations that way). It must match the dense overload bit for
+// bit, forward and backward: an empty row, -0.0f and +0 entries listed
+// explicitly (counted as absent, as a dense zero is), non-binary values, and
+// row counts that straddle the 16-row tiles.
+TEST(MlpBatch, SparseRowForwardMatchesDense) {
+  for_each_mlp_backend([&](rl::kernels::MlpIsa isa) {
+    for (const std::vector<std::size_t>& shape :
+         {std::vector<std::size_t>{11, 16, 4}, std::vector<std::size_t>{70, 5, 66}}) {
+      util::Rng init(9);
+      Mlp dense_net(shape, init);
+      Mlp sparse_net(shape, init);
+      sparse_net.copy_params_from(dense_net);
+      const std::size_t in = shape.front();
 
-    span_net.zero_grad();
-    ptr_net.zero_grad();
-    span_net.backward_batch(span_ws, grads);
-    ptr_net.backward_batch(ptr_ws, grads);
-    auto span_params = span_net.params();
-    auto ptr_params = ptr_net.params();
-    for (std::size_t p = 0; p < span_params.size(); ++p)
-      for (std::size_t i = 0; i < span_params[p].size; ++i)
-        ASSERT_EQ(span_params[p].grads[i], ptr_params[p].grads[i])
-            << "rows=" << rows << " tensor=" << p << " elem=" << i;
-  }
+      for (const std::size_t rows : {1u, 16u, 21u, 40u}) {
+        util::Rng data(rows * 53 + in);
+        std::vector<float> input = random_input(rows * in, data);
+        for (auto& x : input)
+          if (data.below(10) < 6) x = data.below(2) == 0 ? 0.0f : -0.0f;
+        // Row 0 is empty; with 21+ rows so is row 17, inside the second tile.
+        std::fill_n(input.begin(), in, 0.0f);
+        if (rows > 17) std::fill_n(input.begin() + 17 * static_cast<std::ptrdiff_t>(in), in, 0.0f);
+
+        // Each row's list names every nonzero plus the ±0 entries of its
+        // even columns, which the overload must drop.
+        std::vector<std::vector<std::uint32_t>> cols(rows);
+        std::vector<std::vector<float>> vals(rows);
+        std::vector<Mlp::SparseRow> sparse(rows);
+        for (std::size_t r = 0; r < rows; ++r) {
+          for (std::size_t i = 0; i < in; ++i) {
+            const float v = input[r * in + i];
+            if (v != 0.0f || (i % 2 == 0 && r != 0)) {
+              cols[r].push_back(static_cast<std::uint32_t>(i));
+              vals[r].push_back(v);
+            }
+          }
+          sparse[r] = {cols[r], vals[r]};
+        }
+        ASSERT_TRUE(sparse[0].cols.empty());
+
+        Mlp::BatchWorkspace dense_ws, sparse_ws;
+        const auto dense_out = dense_net.forward_batch(input, rows, dense_ws);
+        const auto sparse_out = sparse_net.forward_batch(sparse, sparse_ws);
+        const std::string where = std::string(rl::kernels::to_string(isa)) +
+                                  " in=" + std::to_string(in) +
+                                  " rows=" + std::to_string(rows);
+        ASSERT_EQ(dense_out.size(), sparse_out.size()) << where;
+        for (std::size_t i = 0; i < dense_out.size(); ++i)
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(dense_out[i]),
+                    std::bit_cast<std::uint32_t>(sparse_out[i]))
+              << where << " elem=" << i;
+
+        const std::vector<float> grads = random_input(rows * shape.back(), data);
+        dense_net.zero_grad();
+        sparse_net.zero_grad();
+        dense_net.backward_batch(dense_ws, grads);
+        sparse_net.backward_batch(sparse_ws, grads);
+        const auto dense_params = dense_net.params();
+        const auto sparse_params = sparse_net.params();
+        for (std::size_t p = 0; p < dense_params.size(); ++p)
+          for (std::size_t i = 0; i < dense_params[p].size; ++i)
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(dense_params[p].grads[i]),
+                      std::bit_cast<std::uint32_t>(sparse_params[p].grads[i]))
+                << where << " tensor=" << p << " elem=" << i;
+      }
+    }
+  });
 }
 
 // Every compiled-in SIMD backend the host can run must produce bitwise the
